@@ -5,22 +5,17 @@ A matrix [[a, b], [c, d]] with entries reduced mod m (m <= 256) is stored as
 arrays of packed values, which makes membership a binary search and lets the
 breadth-first closure run over flat arrays.
 
-The closure / conjugation loops are JIT-compiled with numba when available;
-set MINIMAL2_NO_NUMBA=1 to force the (slower) numpy fallback.
+Everything here is plain numpy: the closure multiplies a whole frontier by
+each generator at once, and conjugation maps a whole element set at once.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_USE_NUMBA = os.environ.get("MINIMAL2_NO_NUMBA", "") not in ("1", "true", "yes")
-if _USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _USE_NUMBA = False
+# There is no JIT back-end; perfbench/worker.py still records this flag as
+# host info, so it stays until the benchmark stops reading it.
+_USE_NUMBA = False
 
 MAX_PACK_MODULUS = 256
 
@@ -201,11 +196,6 @@ def lift_array(xs: np.ndarray, m: int, m2: int) -> np.ndarray:
     return out
 
 
-def sorted_unique(xs: np.ndarray) -> np.ndarray:
-    out = np.unique(xs)
-    return out
-
-
 def contains(sorted_set: np.ndarray, x: int) -> bool:
     i = np.searchsorted(sorted_set, x)
     return bool(i < sorted_set.shape[0] and sorted_set[i] == x)
@@ -223,196 +213,6 @@ def is_subset(candidates: np.ndarray, sorted_set: np.ndarray) -> bool:
 # breadth-first closure
 # ---------------------------------------------------------------------------
 
-if _USE_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _nb_mul(x, y, m):
-        ax = x & 255
-        bx = (x >> 8) & 255
-        cx = (x >> 16) & 255
-        dx = (x >> 24) & 255
-        ay = y & 255
-        by = (y >> 8) & 255
-        cy = (y >> 16) & 255
-        dy = (y >> 24) & 255
-        a = (ax * ay + bx * cy) % m
-        b = (ax * by + bx * dy) % m
-        c = (cx * ay + dx * cy) % m
-        d = (cx * by + dx * dy) % m
-        return a | (b << 8) | (c << 16) | (d << 24)
-
-    @njit(cache=True, inline="always")
-    def _nb_hash(x, mask):
-        h = (x * np.int64(-7046029254386353131)) & np.int64(0x7FFFFFFFFFFFFFFF)
-        return (h >> 13) & mask
-
-    @njit(cache=True)
-    def _nb_rehash(elems, n, nslots):
-        table = np.full(nslots, np.int64(-1), dtype=np.int64)
-        mask = nslots - 1
-        for k in range(n):
-            x = elems[k]
-            i = _nb_hash(x, mask)
-            while table[i] != -1:
-                i = (i + 1) & mask
-            table[i] = x
-        return table
-
-    @njit(cache=True)
-    def _nb_closure(seeds, gens, m, cap):
-        """BFS closure of <gens> applied on the right of every seed.
-
-        seeds must contain the identity and be closed under right
-        multiplication by gens *or* be an arbitrary start set: the result is
-        seeds * <gens>-monoid, which is the generated subgroup whenever
-        seeds is {I} or already a subgroup containing the gens' span.
-        Returns (elements, count, ok); ok = False on cap overflow.
-        """
-        nslots = 1024
-        while nslots < 4 * (seeds.shape[0] + 16):
-            nslots *= 2
-        table = np.full(nslots, np.int64(-1), dtype=np.int64)
-        mask = nslots - 1
-        elems = np.empty(max(1024, seeds.shape[0] * 2), dtype=np.int64)
-        n = 0
-        for k in range(seeds.shape[0]):
-            x = seeds[k]
-            i = _nb_hash(x, mask)
-            new = True
-            while table[i] != -1:
-                if table[i] == x:
-                    new = False
-                    break
-                i = (i + 1) & mask
-            if new:
-                table[i] = x
-                elems[n] = x
-                n += 1
-        head = 0
-        ng = gens.shape[0]
-        while head < n:
-            x = elems[head]
-            head += 1
-            for j in range(ng):
-                y = _nb_mul(x, gens[j], m)
-                i = _nb_hash(y, mask)
-                new = True
-                while table[i] != -1:
-                    if table[i] == y:
-                        new = False
-                        break
-                    i = (i + 1) & mask
-                if new:
-                    if n >= cap:
-                        return elems[:n], n, False
-                    table[i] = y
-                    if n == elems.shape[0]:
-                        bigger = np.empty(elems.shape[0] * 2, dtype=np.int64)
-                        bigger[:n] = elems
-                        elems = bigger
-                    elems[n] = y
-                    n += 1
-                    if 2 * n > nslots:
-                        nslots *= 2
-                        table = _nb_rehash(elems, n, nslots)
-                        mask = nslots - 1
-        return elems[:n], n, True
-
-    @njit(cache=True)
-    def _nb_conj_set(xs, g, gi, m):
-        out = np.empty(xs.shape[0], dtype=np.int64)
-        for k in range(xs.shape[0]):
-            out[k] = _nb_mul(_nb_mul(g, xs[k], m), gi, m)
-        return out
-
-    @njit(cache=True)
-    def _nb_label(elements, gens, m, identity):
-        """Spanning-tree labels in F_2^s plus the echelon of edge relations.
-
-        Scans every Cayley edge (x, g) exactly once; revisit edges reduce
-        into the relation rows (indexed by pivot bit).  Returns
-        (labels, rows, reached); reached < n means the gens do not generate,
-        reached = -1 means the element set is not closed.
-        """
-        n = elements.shape[0]
-        s = gens.shape[0]
-        nslots = 1024
-        while nslots < 4 * n:
-            nslots *= 2
-        mask = nslots - 1
-        table = np.full(nslots, np.int64(-1), dtype=np.int64)
-        for k in range(n):
-            i = _nb_hash(elements[k], mask)
-            while table[i] != -1:
-                i = (i + 1) & mask
-            table[i] = k
-        labels = np.full(n, np.int64(-1), dtype=np.int64)
-        rows = np.zeros(s, dtype=np.int64)
-        i = _nb_hash(identity, mask)
-        while table[i] != -1 and elements[table[i]] != identity:
-            i = (i + 1) & mask
-        if table[i] == -1:
-            return labels, rows, np.int64(-1)
-        queue = np.empty(n, dtype=np.int64)
-        queue[0] = table[i]
-        labels[table[i]] = 0
-        head = np.int64(0)
-        tail = np.int64(1)
-        while head < tail:
-            xi = queue[head]
-            head += 1
-            x = elements[xi]
-            lx = labels[xi]
-            for gi in range(s):
-                y = _nb_mul(x, gens[gi], m)
-                i = _nb_hash(y, mask)
-                while table[i] != -1 and elements[table[i]] != y:
-                    i = (i + 1) & mask
-                if table[i] == -1:
-                    return labels, rows, np.int64(-1)
-                yi = table[i]
-                v = lx ^ (np.int64(1) << gi)
-                if labels[yi] < 0:
-                    labels[yi] = v
-                    queue[tail] = yi
-                    tail += 1
-                else:
-                    r = labels[yi] ^ v
-                    while r != 0:
-                        p = 0
-                        t = r >> 1
-                        while t != 0:
-                            p += 1
-                            t >>= 1
-                        if rows[p] != 0:
-                            r ^= rows[p]
-                        else:
-                            rows[p] = r
-                            r = 0
-        return labels, rows, tail
-
-else:  # numpy fallback
-
-    def _nb_closure(seeds, gens, m, cap):
-        known = np.unique(seeds)
-        frontier = known
-        while frontier.size:
-            prods = [mul_array_scalar(frontier, int(g), m) for g in gens]
-            cand = np.unique(np.concatenate(prods))
-            idx = np.searchsorted(known, cand)
-            idx[idx >= known.shape[0]] = known.shape[0] - 1
-            fresh = cand[known[idx] != cand]
-            if fresh.size == 0:
-                break
-            if known.size + fresh.size > cap:
-                return known, known.size, False
-            known = np.union1d(known, fresh)
-            frontier = fresh
-        return known, known.size, True
-
-    def _nb_conj_set(xs, g, gi, m):
-        return mul_array_scalar(mul_array_scalar(xs, gi, m, right=True), int(g), m, right=False)
-
 
 def closure(gens, m: int, cap: int = 1 << 27, seeds=None) -> np.ndarray:
     """Sorted packed element array of the subgroup generated by gens mod m.
@@ -421,66 +221,28 @@ def closure(gens, m: int, cap: int = 1 << 27, seeds=None) -> np.ndarray:
     starts from seeds united with the identity.  Raises BudgetExceeded when
     the closure would pass cap elements.
     """
-    gens = np.asarray(
-        sorted({int(g) for g in gens} | {IDENTITY}), dtype=np.int64
-    )
-    if seeds is None:
-        seed_arr = np.array([IDENTITY], dtype=np.int64)
-    else:
-        seed_arr = np.union1d(np.asarray(seeds, dtype=np.int64), np.int64(IDENTITY))
-    elems, n, ok = _nb_closure(seed_arr, gens, m, cap)
-    if not ok:
-        raise BudgetExceeded(f"closure exceeded budget of {cap} elements (mod {m})")
-    out = np.array(elems[:n], dtype=np.int64)
-    out.sort()
-    return out
-
-
-def closure_extend(current: np.ndarray, gens_so_far: list[int], new_gen: int, m: int, cap: int = 1 << 27) -> np.ndarray:
-    """Extend a closed set by one more generator.
-
-    current must already be closed under gens_so_far.  Seeds the BFS with
-    current * new_gen so the old elements are not reprocessed against the old
-    generators from scratch.
-    """
-    allgens = np.asarray(sorted(set(gens_so_far) | {int(new_gen), IDENTITY}), dtype=np.int64)
-    seeds = np.union1d(current, mul_array_scalar(current, int(new_gen), m))
-    elems, n, ok = _nb_closure(seeds, allgens, m, cap)
-    if not ok:
-        raise BudgetExceeded(f"closure exceeded budget of {cap} elements (mod {m})")
-    out = np.array(elems[:n], dtype=np.int64)
-    out.sort()
-    return out
+    gens = sorted({int(g) for g in gens} - {IDENTITY})
+    known = np.array([IDENTITY], dtype=np.int64)
+    if seeds is not None:
+        known = np.union1d(np.asarray(seeds, dtype=np.int64), known)
+    frontier = known
+    while gens:
+        cand = np.unique(np.concatenate(
+            [mul_array_scalar(frontier, g, m) for g in gens]))
+        idx = np.searchsorted(known, cand)
+        idx[idx >= known.shape[0]] = known.shape[0] - 1
+        fresh = cand[known[idx] != cand]
+        if fresh.size == 0:
+            break
+        if known.size + fresh.size > cap:
+            raise BudgetExceeded(f"closure exceeded budget of {cap} elements (mod {m})")
+        known = np.union1d(known, fresh)
+        frontier = fresh
+    return known
 
 
 def conjugate_set(xs: np.ndarray, g: int, m: int) -> np.ndarray:
     """Sorted packed set {g x g^-1}."""
-    gi = inv(g, m)
-    out = np.array(_nb_conj_set(xs, np.int64(g), np.int64(gi), m), dtype=np.int64)
+    out = conj_array(np.asarray(xs, dtype=np.int64), int(g), m)
     out.sort()
     return out
-
-
-def label_edges(elements: np.ndarray, gens, m: int):
-    """Fast path for the F_2 exponent labeling of a group's Cayley graph.
-
-    Returns (uint32 labels, list of relation row bitmasks), or None when the
-    JIT path is disabled and the caller should fall back to numpy.
-    """
-    if not _USE_NUMBA:
-        return None
-    garr = np.asarray([int(g) for g in gens], dtype=np.int64)
-    labels, rows, reached = _nb_label(elements, garr, m, np.int64(IDENTITY))
-    if reached == -1:
-        raise ValueError("element set is not closed under the generators")
-    if reached != len(elements):
-        raise AssertionError("generators do not generate the element set")
-    return labels.astype(np.uint32), [int(r) for r in rows if r]
-
-
-def warmup() -> None:
-    """Trigger JIT compilation of the hot kernels on a tiny example."""
-    g = np.array([pack(1, 1, 0, 1), pack(0, 1, 1, 0)], dtype=np.int64)
-    closure(g, 2, cap=64)
-    conjugate_set(g, pack(0, 1, 1, 0), 2)
-    label_edges(closure(g, 2, cap=64), [int(v) for v in g], 2)

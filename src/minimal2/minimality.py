@@ -172,7 +172,7 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
         total //= 2
         two_part *= 2
     syl = _grow_q_subgroup(elems, HM.modulus, 2, two_part, HM.element_budget)
-    gens = _greedy_generators(syl, HM.modulus, HM.element_budget)
+    gens, _ = _greedy_generators(syl, HM.modulus, HM.element_budget)
     current = syl
     grew = True
     while grew:
@@ -345,7 +345,7 @@ def _level_at_most(elems: np.ndarray, modulus: int, bound: int) -> bool:
     if bound >= modulus:
         return True
     ratio4 = (modulus // bound) ** 4
-    reduced = kernels.sorted_unique(kernels.reduce_array(elems, bound))
+    reduced = np.unique(kernels.reduce_array(elems, bound))
     return len(reduced) * ratio4 == len(elems)
 
 

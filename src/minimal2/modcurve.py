@@ -60,7 +60,7 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
         return G
     m = G.modulus
     minus = ResidueMatrix(m, -1, 0, 0, -1)
-    elems = kernels.sorted_unique(
+    elems = np.unique(
         np.concatenate([G.elements, kernels.neg_array(G.elements, m)]))
     return OpenSubgroup(G.prime, m, list(G.generators) + [minus],
                         _elements=elems, element_budget=G.element_budget)
@@ -77,7 +77,7 @@ def _psl_context(n: int):
     k = (n.bit_length() - 1)
     if len(sl) != 3 * 2 ** (3 * k - 2):
         raise AssertionError("SL_2 closure has the wrong order")
-    psl = kernels.sorted_unique(np.minimum(sl, kernels.neg_array(sl, n)))
+    psl = np.unique(np.minimum(sl, kernels.neg_array(sl, n)))
     return sl, psl
 
 

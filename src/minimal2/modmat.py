@@ -166,26 +166,6 @@ class ResidueMatrix:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.modulus}"
 
 
-def mat_mul(x: ResidueMatrix, y: ResidueMatrix) -> ResidueMatrix:
-    return x * y
-
-
-def mat_det(x: ResidueMatrix) -> int:
-    return x.det()
-
-
-def mat_inverse(x: ResidueMatrix) -> ResidueMatrix:
-    return x.inverse()
-
-
-def mat_order(x: ResidueMatrix) -> int:
-    return x.order()
-
-
-def mat_reduce(x: ResidueMatrix, m2: int) -> ResidueMatrix:
-    return x.reduce(m2)
-
-
 # ---------------------------------------------------------------------------
 # symplectic similitude matrices
 # ---------------------------------------------------------------------------

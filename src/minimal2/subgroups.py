@@ -7,14 +7,15 @@ image, Frattini quotient, index-2 subgroups, nilpotency and a conjugacy
 canonical key are all computed from the element set.
 
 The Frattini machinery applies to 2-group images, the only case the search
-needs.  Rather than materializing Phi(H) and then working with cosets, the
-quotient H/Phi(H) is computed directly: a breadth-first sweep labels each
-element with the exponent vector mod 2 of some generator word reaching it,
-and every revisit contributes its label discrepancy as a relation.  For a
-finite 2-group the F_2-span of the word relations cuts exactly the mod-2
-abelianization, which equals H/Phi(H) by the Burnside basis theorem, so the
-labeling is exact rather than heuristic.  An optional sweep re-checks every
-Cayley edge plus all element squares and generator commutators.
+needs.  For a finite 2-group Phi(H) = <x^2 : x in H>, since every commutator
+[x, y] = x^-2 (x y^-1)^2 y^2 is a product of squares, so Phi(H) is the
+closure of the squares.  The quotient H/Phi(H) is then laid out coset by
+coset: the first element of H, in sorted packed order, outside the part
+labelled so far becomes the next basis vector, and right-multiplying the
+labelled part by it labels one new layer of cosets.  By the Burnside basis
+theorem the generators of H generate exactly when their coordinate vectors
+span F_2^rank, which is checked on every quotient.  An optional sweep
+re-checks all element squares, generator commutators and generator edges.
 """
 
 from __future__ import annotations
@@ -46,35 +47,6 @@ def _parity(v: np.ndarray) -> np.ndarray:
 
 def _parity_int(v: int) -> int:
     return bin(v).count("1") & 1
-
-
-class _Echelon:
-    """Row space over F_2, rows as int bitmasks with distinct leading bits."""
-
-    def __init__(self):
-        self.rows: list[int] = []  # sorted by leading bit, descending
-
-    def reduce(self, v: int) -> int:
-        for row in self.rows:
-            if (v >> (row.bit_length() - 1)) & 1:
-                v ^= row
-        return v
-
-    def insert(self, v: int) -> bool:
-        """Reduce v and insert when independent; True when the rank grew."""
-        v = self.reduce(v)
-        if v == 0:
-            return False
-        self.rows.append(v)
-        self.rows.sort(key=lambda r: -r)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def pivots(self) -> list[int]:
-        return [r.bit_length() - 1 for r in self.rows]
 
 
 @dataclass
@@ -114,103 +86,52 @@ class FrattiniQuotient:
         return _parity(self._coords & np.uint32(mu)) == 0
 
 
-def _label_elements(elements: np.ndarray, gens: list[int], modulus: int):
-    """BFS labeling of a group's elements by exponent vectors mod 2.
+def _positions(elements: np.ndarray, xs: np.ndarray, missing: str) -> np.ndarray:
+    """Indices of xs in the sorted element set; raises AssertionError with
+    the given message when some x is absent."""
+    pos = np.searchsorted(elements, xs)
+    pos[pos >= len(elements)] = 0
+    if not (elements[pos] == xs).all():
+        raise AssertionError(missing)
+    return pos
 
-    Returns (raw labels in F_2^s as uint32, relation echelon).  Every Cayley
-    edge (x, g) is scanned, so the relation space is the full image of the
-    word relations (spanning-tree homology argument), not a sample.
+
+def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
+    """Basis and coordinates of H/Phi(H) for the 2-group with these elements.
+
+    Phi is grown from the squares one missing square at a time.  Basis
+    element k is the first element outside <Phi, earlier basis elements>,
+    and right multiplication by it labels the next coset layer.  Returns
+    (packed basis elements, uint32 coordinate array).
     """
-    n = len(elements)
-    s = len(gens)
-    if s > 31:
-        raise ValueError("too many generators to label")
-    fast = kernels.label_edges(elements, gens, modulus)
-    if fast is not None:
-        labels, row_list = fast
-        rels = _Echelon()
-        for r in row_list:
-            rels.insert(r)
-        return labels, rels
-    labels = np.full(n, -1, dtype=np.int64)
-    i0 = int(np.searchsorted(elements, kernels.IDENTITY))
-    labels[i0] = 0
-    frontier = np.array([i0], dtype=np.int64)
-    rels = _Echelon()
-    while len(frontier):
-        nxt = []
-        for gi, g in enumerate(gens):
-            ys = kernels.mul_array_scalar(elements[frontier], g, modulus)
-            pos = np.searchsorted(elements, ys)
-            fresh = labels[pos] < 0
-            if fresh.any():
-                upos, first = np.unique(pos[fresh], return_index=True)
-                labels[upos] = labels[frontier[fresh][first]] ^ (1 << gi)
-                nxt.append(upos)
-            # re-scan the whole batch: duplicate targets and revisits yield
-            # relations, freshly assigned ones yield zero
-            conflicts = np.unique(labels[pos] ^ labels[frontier] ^ (1 << gi))
-            for row in rels.rows:
-                pivot = row.bit_length() - 1
-                hit = ((conflicts >> pivot) & 1).astype(bool)
-                conflicts[hit] ^= row
-            for v in np.unique(conflicts):
-                if v:
-                    rels.insert(int(v))
-        frontier = np.concatenate(nxt) if nxt else np.array([], dtype=np.int64)
-    if (labels < 0).any():
-        raise AssertionError("generators do not generate the element set")
-    return labels.astype(np.uint32), rels
-
-
-def _adapt_basis(elements, labels, rels, s):
-    """Pick basis representatives and rebase coordinates to unit vectors.
-
-    Returns (rank, packed basis elements, uint32 coordinate array).
-    """
-    red = labels.copy()
-    for row in rels.rows:
-        pivot = row.bit_length() - 1
-        mask = ((red >> np.uint32(pivot)) & 1).astype(bool)
-        red[mask] ^= np.uint32(row)
-    pivots = set(rels.pivots())
-    free = [j for j in range(s) if j not in pivots]
-    rank = len(free)
+    squares = np.unique(kernels.square_array(elements, modulus))
+    _, phi = _greedy_generators(squares, modulus, budget)
+    labelled = np.zeros(len(elements), dtype=bool)
+    labelled[_positions(elements, phi, "Phi(H) is not inside the element set")] = True
     coords = np.zeros(len(elements), dtype=np.uint32)
-    for newbit, j in enumerate(free):
-        coords |= ((red >> np.uint32(j)) & 1).astype(np.uint32) << np.uint32(newbit)
-    # greedy independent representatives, earliest element first
-    chosen: list[int] = []
-    work = coords.copy()
-    for _ in range(rank):
-        idx = int(np.argmax(work != 0))
-        if work[idx] == 0:
-            raise AssertionError("rank bookkeeping out of sync")
-        chosen.append(idx)
-        row = int(work[idx])
-        pivot = row.bit_length() - 1
-        mask = ((work >> np.uint32(pivot)) & 1).astype(bool)
-        work[mask] ^= np.uint32(row)
-    # change of basis sending the chosen representatives to unit vectors
-    cols = [int(coords[i]) for i in chosen]
-    inv_rows = _invert_f2(cols, rank)
-    out = np.zeros(len(elements), dtype=np.uint32)
-    for i, row in enumerate(inv_rows):
-        out |= _parity(coords & np.uint32(row)).astype(np.uint32) << np.uint32(i)
-    return rank, [int(elements[i]) for i in chosen], out
+    basis: list[int] = []
+    while not labelled.all():
+        b = int(elements[np.argmin(labelled)])
+        src = np.flatnonzero(labelled)
+        dst = _positions(elements,
+                         kernels.mul_array_scalar(elements[src], b, modulus),
+                         "element set is not closed under multiplication")
+        coords[dst] = coords[src] | np.uint32(1 << len(basis))
+        labelled[dst] = True
+        basis.append(b)
+    return basis, coords
 
 
-def _invert_f2(cols: list[int], r: int) -> list[int]:
-    """Rows of B^{-1} for the F_2 matrix B whose columns are cols."""
-    rows = [sum(((cols[j] >> i) & 1) << j for j in range(r)) for i in range(r)]
-    aug = [(rows[i], 1 << i) for i in range(r)]
-    for col in range(r):
-        piv = next(i for i in range(col, r) if (aug[i][0] >> col) & 1)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        for i in range(r):
-            if i != col and (aug[i][0] >> col) & 1:
-                aug[i] = (aug[i][0] ^ aug[col][0], aug[i][1] ^ aug[col][1])
-    return [inv for _, inv in aug]
+def _f2_rank(vectors) -> int:
+    """Rank over F_2 of int bitmask vectors."""
+    rows: list[int] = []  # distinct leading bits, descending
+    for v in vectors:
+        for row in rows:
+            v = min(v, v ^ row)
+        if v:
+            rows.append(v)
+            rows.sort(reverse=True)
+    return len(rows)
 
 
 class OpenSubgroup:
@@ -291,7 +212,7 @@ class OpenSubgroup:
             if nj == 1:
                 determined = n == gl2_order(self.modulus)
             else:
-                reduced = kernels.sorted_unique(
+                reduced = np.unique(
                     kernels.reduce_array(self.elements, nj))
                 determined = len(reduced) * p ** (4 * (k - j)) == n
             if determined:
@@ -305,7 +226,7 @@ class OpenSubgroup:
             raise ValueError(f"{m2} does not divide modulus {self.modulus}")
         elems = None
         if self._elements is not None:
-            elems = kernels.sorted_unique(kernels.reduce_array(self._elements, m2))
+            elems = np.unique(kernels.reduce_array(self._elements, m2))
         return OpenSubgroup(
             self.prime, m2, [g.reduce(m2) for g in self.generators],
             _elements=elems, element_budget=self.element_budget)
@@ -375,17 +296,20 @@ class OpenSubgroup:
     # -- Frattini quotient and maximal subgroups ---------------------------------
 
     def frattini_quotient(self, verify: bool | None = None) -> FrattiniQuotient:
-        """Quotient by Phi(H) = <squares> . [H,H]; input must be a 2-group."""
+        """Quotient by Phi(H) = <x^2 : x in H>; input must be a 2-group."""
         if self._fq is None:
             if not self.is_two_group():
                 raise ValueError("Frattini quotient implemented for 2-groups only")
             elements = self.elements
-            gens = [g.packed() for g in self.generators]
-            labels, rels = _label_elements(elements, gens, self.modulus)
-            rank, basis_packed, coords = _adapt_basis(elements, labels, rels,
-                                                      len(gens))
-            if 2 ** rank > len(elements):
-                raise AssertionError("rank exceeds the group order")
+            basis_packed, coords = _frattini_layers(
+                elements, self.modulus, self.element_budget)
+            rank = len(basis_packed)
+            gens = np.array([g.packed() for g in self.generators],
+                            dtype=np.int64)
+            missing = "generators do not generate the element set"
+            gen_coords = coords[_positions(elements, gens, missing)]
+            if _f2_rank(int(c) for c in gen_coords) != rank:
+                raise AssertionError(missing)
             self._fq = FrattiniQuotient(
                 rank=rank,
                 basis=[ResidueMatrix.from_packed(x, self.modulus)
@@ -494,7 +418,7 @@ class OpenSubgroup:
                 return False
             layer = nxt
             layer_gens = ([int(v) for v in nxt] if len(nxt) <= 128 else
-                          _greedy_generators(nxt, m, self.element_budget))
+                          _greedy_generators(nxt, m, self.element_budget)[0])
 
     def sylow_decomposition_nilpotent(self) -> bool:
         """Cross-check criterion: nilpotent iff every Sylow subgroup is normal."""
@@ -613,15 +537,18 @@ def _primitive_root(p: int, modulus: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def _greedy_generators(elements: np.ndarray, m: int, budget: int) -> list[int]:
-    """Small generating set for an element set known to be a group."""
+def _greedy_generators(targets: np.ndarray, m: int,
+                       budget: int) -> tuple[list[int], np.ndarray]:
+    """Generators picked greedily, the first missing target each time, until
+    their closure contains every target; returns (generators, closure)."""
     gens: list[int] = []
     current = kernels.closure([], m)
-    while len(current) < len(elements):
-        missing = elements[~np.isin(elements, current, assume_unique=True)]
+    while True:
+        missing = targets[~np.isin(targets, current, assume_unique=True)]
+        if not missing.size:
+            return gens, current
         gens.append(int(missing[0]))
-        current = kernels.closure(gens, m, cap=budget)
-    return gens
+        current = kernels.closure(gens, m, cap=budget, seeds=current)
 
 
 def _element_orders(elements: np.ndarray, m: int) -> np.ndarray:

@@ -9,16 +9,9 @@ import os
 
 import pytest
 
-from minimal2 import kernels
-
 
 def _want_extended() -> bool:
     return bool(os.environ.get("MINIMAL2_EXTENDED"))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    kernels.warmup()
 
 
 @pytest.fixture(scope="session")

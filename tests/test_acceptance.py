@@ -10,6 +10,7 @@ import os
 import pytest
 
 from minimal2 import ellcurve, kernels, lie2adic, minimality, modcurve
+from minimal2.report import EXTENDED_INDEX_BOUND
 from minimal2.subgroups import OpenSubgroup, ambient_generators
 
 
@@ -26,7 +27,7 @@ def test_01_genus0_census_has_28_classes(genus0_census):
 @pytest.mark.skipif(not os.environ.get("MINIMAL2_EXTENDED"),
                     reason="hours-scale; set MINIMAL2_EXTENDED=1 to run")
 def test_02_extended_census_has_7652_classes():
-    entries = minimality.census(128, 1 << 30)
+    entries = minimality.census(128, EXTENDED_INDEX_BOUND)
     assert len(entries) == 7652
 
 

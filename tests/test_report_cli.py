@@ -125,6 +125,17 @@ class TestVerifyAllDriver:
         assert "criterion exploded" in bad[0]["detail"]["error"]
         assert sum(c["pass"] for c in criteria) == len(criteria) - 1
 
+    def test_extended_census_counts_with_no_index_cap(self, monkeypatch):
+        # 7652 classes is the count with no index cap, so the criterion must
+        # not pass the desk profile's --index-bound through
+        calls = []
+        monkeypatch.setattr(report.minimality, "census",
+                            lambda *a, **k: calls.append(a) or [])
+        cfg = RunConfig(command="verify-all", profile="extended")
+        report._criterion_extended_census(cfg, None)
+        assert calls == [(128, report.EXTENDED_INDEX_BOUND)]
+        assert report.EXTENDED_INDEX_BOUND == 1 << 30
+
 
 class TestCli:
     def test_quadfamily_end_to_end(self, tmp_path, capsys):
@@ -148,6 +159,21 @@ class TestCli:
         rc = cli.main(["genus", "--group", str(gpath), "--quiet"])
         assert rc == 0
         assert "8.24.0" in capsys.readouterr().out
+
+    def test_genus_command_runs_the_coset_action_once(self, tmp_path,
+                                                       monkeypatch):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({
+            "prime": 2, "modulus": 8,
+            "generators": [[1, 1, 0, 1], [1, 0, 2, 1], [3, 0, 0, 1],
+                           [1, 0, 0, 3], [5, 0, 0, 1], [1, 0, 0, 5]]}))
+        calls = []
+        genus = report.modcurve.genus
+        monkeypatch.setattr(report.modcurve, "genus",
+                            lambda G: calls.append(G) or genus(G))
+        rep = report.run(RunConfig(command="genus", group_path=str(gpath)))
+        assert len(calls) == 1
+        assert rep.results["label"] == [2, 3, 0]
 
     def test_family_check_label(self, capsys):
         rc = cli.main(["family-check", "--label", "16.48.0.25", "--trials",

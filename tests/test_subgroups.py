@@ -173,6 +173,61 @@ class TestFrattini:
         with pytest.raises(ValueError):
             full_group(8).frattini_quotient()
 
+    def test_rank_is_the_fewest_generators(self):
+        # Burnside basis theorem, checked against an exhaustive search
+        sylow4 = sylow8().reduce(4)
+        assert sylow4.order() == 32
+        pool = [int(x) for x in sylow4.elements]
+        groups = {}
+        for x in pool:
+            for y in pool:
+                elems = kernels.closure([x, y], 4)
+                groups.setdefault(elems.tobytes(), (elems, [x, y]))
+        assert len(groups) > 50
+        for elems, gens in groups.values():
+            H = OpenSubgroup(2, 4, [kernels.unpack(g) for g in gens],
+                             _elements=elems)
+            assert H.frattini_quotient().rank == _fewest_generators(elems, 4)
+        H = sylow8()
+        assert H.frattini_quotient().rank == _fewest_generators(H.elements, 8) == 4
+
+    def test_non_generating_generators_rejected(self):
+        # <diag(3,1), diag(5,1)> is a proper subgroup of the stored set
+        H = OpenSubgroup(2, 8, [D31, D51], _elements=sylow8().elements)
+        with pytest.raises(AssertionError, match="do not generate"):
+            H.frattini_quotient(verify=False)
+
+
+def _fewest_generators(elements, m):
+    """Fewest elements that generate the group, by exhaustive search.
+
+    Layer k holds every distinct subgroup <S, x_1, ..., x_k>, where S is the
+    set of all squares; x_k runs over one element per coset of the layer
+    below, which is enough since <K, x> = <K, kx> for k in K.  Elements that
+    fail to generate even together with S fail alone, so the first layer
+    that reaches the group gives a lower bound; the generators found there
+    are then checked to generate without S.  Uses closure only.
+    """
+    squares = [int(v) for v in
+               np.unique(kernels.mul_arrays(elements, elements, m))]
+    layer = {kernels.closure(squares, m).tobytes(): []}
+    while elements.tobytes() not in layer:
+        grown = {}
+        for kb, gens in layer.items():
+            K = np.frombuffer(kb, dtype=np.int64)
+            todo = ~np.isin(elements, K)
+            while todo.any():
+                x = int(elements[np.argmax(todo)])
+                coset = kernels.mul_array_scalar(K, x, m)
+                todo[np.searchsorted(elements, coset)] = False
+                grown.setdefault(
+                    kernels.closure(squares + gens + [x], m, seeds=K).tobytes(),
+                    gens + [x])
+        layer = grown
+    gens = layer[elements.tobytes()]
+    assert np.array_equal(kernels.closure(gens, m), elements)
+    return len(gens)
+
 
 class TestIndexTwoSubgroups:
     def test_count_and_index(self):
