@@ -37,7 +37,7 @@ from .minimality import (
     verify_non_two_group_witness,
     verify_unit_square_lemma,
 )
-from .modmat import ResidueMatrix, SymplecticMatrix, gl2_order
+from .modmat import ResidueMatrix, gl2_order
 from .report import Report, RunConfig, run, verify_all
 from .subgroups import OpenSubgroup, ambient_generators, closure
 
@@ -56,7 +56,6 @@ __all__ = [
     "Report",
     "ResidueMatrix",
     "RunConfig",
-    "SymplecticMatrix",
     "WeierstrassCurve",
     "adjoin_minus_I",
     "ambient_generators",

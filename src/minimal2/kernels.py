@@ -141,6 +141,24 @@ def square_array(xs: np.ndarray, m: int) -> np.ndarray:
     )
 
 
+def order_array(xs: np.ndarray, m: int) -> np.ndarray:
+    """Multiplicative order of every packed matrix, by iterated multiplication."""
+    orders = np.zeros(len(xs), dtype=np.int64)
+    acc = xs.copy()
+    k = 1
+    while True:
+        remaining = orders == 0
+        done = remaining & (acc == IDENTITY)
+        orders[done] = k
+        remaining &= ~done
+        if not remaining.any():
+            return orders
+        acc[remaining] = mul_arrays(acc[remaining], xs[remaining], m)
+        k += 1
+        if k > 8 * m * m:
+            raise AssertionError("order computation runaway")
+
+
 def inv_array(xs: np.ndarray, m: int) -> np.ndarray:
     """Packed inverses of an array of invertible packed matrices."""
     table = unit_inverse_table(m)

@@ -38,15 +38,20 @@ import numpy as np
 
 from . import kernels
 from .modcurve import GenusData, genus
-from .modmat import gl2_order
+from .modmat import ResidueMatrix, gl2_order
 from .smallgroups import FiniteGroupTable
 from .subgroups import (
     DEFAULT_ELEMENT_BUDGET,
     FrattiniQuotient,
     OpenSubgroup,
     UNIT_RESIDUES_MOD_8,
+    _greedy_generators,
+    _is_primitive_root,
+    _primitive_root,
     ambient_generators,
     closure,
+    schreier_generators,
+    sylow_subgroup,
 )
 
 # Generators of the pro-2 Sylow subgroup, written mod 8: the preimage of the
@@ -164,14 +169,7 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
     elems = HM.elements
     if len(elems) > 1 << 14:
         raise kernels.BudgetExceeded("witness search refused above 2^14 elements")
-    from .subgroups import _greedy_generators, _grow_q_subgroup
-
-    total = len(elems)
-    two_part = 1
-    while total % 2 == 0:
-        total //= 2
-        two_part *= 2
-    syl = _grow_q_subgroup(elems, HM.modulus, 2, two_part, HM.element_budget)
+    syl = sylow_subgroup(elems, HM.modulus, 2, HM.element_budget)
     gens, _ = _greedy_generators(syl, HM.modulus, HM.element_budget)
     current = syl
     grew = True
@@ -349,29 +347,6 @@ def _level_at_most(elems: np.ndarray, modulus: int, bound: int) -> bool:
     return len(reduced) * ratio4 == len(elems)
 
 
-def _schreier_index2_generators(fq: FrattiniQuotient, mu: int,
-                                modulus: int) -> list[int]:
-    """Generators of the hyperplane subgroup ker(mu), from the adapted basis.
-
-    The basis maps onto the Frattini quotient, so it generates, and with the
-    transversal {I, t} the Schreier generators below generate the kernel.
-    """
-    t_pos = (mu & -mu).bit_length() - 1
-    t = fq.basis[t_pos].packed()
-    t_inv = kernels.inv(t, modulus)
-    gens = []
-    for j, b in enumerate(fq.basis):
-        g = b.packed()
-        if (mu >> j) & 1:
-            gens.append(kernels.mul(g, t_inv, modulus))
-            gens.append(kernels.mul(t, g, modulus))
-        else:
-            gens.append(g)
-            gens.append(kernels.mul(kernels.mul(t, g, modulus), t_inv, modulus))
-    out = sorted(set(gens) - {kernels.IDENTITY})
-    return out or [kernels.IDENTITY]
-
-
 def census(level_bound: int = 64, index_bound: int = 96,
            genus_filter: Optional[int] = None, *,
            reverify: bool = True,
@@ -429,7 +404,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 child_elems = HM.elements[fq.hyperplane_mask(mu)]
                 if not _level_at_most(child_elems, HM.modulus, level_bound):
                     continue
-                gens = _schreier_index2_generators(fq, mu, HM.modulus)
+                gens = schreier_generators(fq, fq.basis, mu, HM.modulus)
                 child = OpenSubgroup(2, HM.modulus,
                                      [kernels.unpack(g) for g in gens],
                                      _elements=child_elems,
@@ -578,10 +553,10 @@ def verify_non_two_group_witness(progress: Optional[Callable[[str], None]] = Non
             raise AssertionError("enumeration leaked a 2-group")
         if frozenset(int(v) for v in np.unique(dets[sub])) != full:
             continue
-        syl = table.sylow_indices(sub, 2)
+        syl = sylow_subgroup(table.elements[sub], 8, 2)
         if 3 * len(syl) != len(sub):
             raise AssertionError("Sylow 2-subgroup does not have index 3")
-        if frozenset(int(v) for v in np.unique(dets[syl])) != full:
+        if frozenset(int(v) for v in np.unique(kernels.det_array(syl, 8))) != full:
             raise AssertionError("odd-index Sylow lost determinant fullness")
         checked += 1
         if progress and checked % 50 == 0:
@@ -625,16 +600,6 @@ class FalsifierReport:
         }
 
 
-def _matrix_order_mod(x: int, m: int) -> int:
-    acc, k = x, 1
-    while acc != kernels.IDENTITY:
-        acc = kernels.mul(acc, x, m)
-        k += 1
-        if k > 16 * m * m:
-            raise AssertionError("order runaway")
-    return k
-
-
 def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
                       ) -> FalsifierReport:
     """Show no analogue of minimality lives in GL_2(Z_p) for odd p in {3, 5}.
@@ -657,7 +622,7 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
     det_order_target = p * (p - 1)
     witnesses = []
     det_full = 0
-    g0 = _primitive_root_mod(p)
+    g0 = _primitive_root(p, p)
     for ci, (sub, _gens) in enumerate(classes):
         if frozenset(int(v) for v in np.unique(dets[sub])) != full:
             continue
@@ -671,8 +636,8 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
             # multiply by the kernel element diag(1 + pt, 1): scales det by
             # exactly 1 + pt mod p^2 while fixing the mod-p image
             h2 = kernels.mul(h, kernels.pack(1 + p * t, 0, 0, 1), p * p)
-            det_h2 = kernels.det(h2, p * p)
-            if _unit_order(det_h2, p * p) == det_order_target:
+            # det order p(p-1) = |(Z/p^2)^x| means det is a primitive root
+            if _is_primitive_root(kernels.det(h2, p * p), p * p):
                 witness = h2
                 break
         if witness is None:
@@ -680,7 +645,7 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
                 f"falsifier failed for p={p}, class {ci}: no lift of the "
                 "primitive-det element has full det order mod p^2; this "
                 "would contradict the odd-prime non-minimality argument")
-        cyc_order = _matrix_order_mod(witness, p * p)
+        cyc_order = ResidueMatrix.from_packed(witness, p * p).order()
         preimage_order = len(sub) * p ** 4
         if cyc_order >= preimage_order:
             raise AssertionError("cyclic witness is not proper")
@@ -702,21 +667,6 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
         det_full_classes=det_full,
         witnesses=tuple(witnesses),
     )
-
-
-def _primitive_root_mod(p: int) -> int:
-    from .subgroups import _primitive_root
-    return _primitive_root(p, p)
-
-
-def _unit_order(u: int, m: int) -> int:
-    acc, k = u % m, 1
-    while acc != 1:
-        acc = (acc * u) % m
-        k += 1
-        if k > m:
-            raise AssertionError("unit order runaway")
-    return k
 
 
 def nilpotent_lift_check(progress: Optional[Callable[[str], None]] = None) -> dict:

@@ -86,7 +86,10 @@ def _psl_rep(xs: np.ndarray, n: int) -> np.ndarray:
 
 
 def genus(G: OpenSubgroup) -> GenusData:
-    """GenusData of X_G; requires surjective determinant."""
+    """GenusData of X_G; requires surjective determinant.  Models below
+    modulus 8 are lifted to 8 first, where the determinant test runs."""
+    if G.prime == 2 and G.modulus < 8:
+        G = G.lift(8)
     if not G.det_surjective_2adic():
         raise ValueError("genus is only defined here for surjective determinant")
     Gm = adjoin_minus_I(G)

@@ -1,13 +1,11 @@
-"""Exact 2x2 matrix arithmetic over Z/p^k and symplectic similitude checks.
+"""Exact 2x2 matrix arithmetic over Z/p^k.
 
 ResidueMatrix is the basic atom used by the subgroup machinery: an immutable
 2x2 matrix with entries reduced mod a prime power.  For moduli up to 256 a
 matrix packs into a single integer (see kernels), which is how bulk element
-sets are stored; this class is the friendly scalar view.
-
-SymplecticMatrix covers the general-symplectic-group side: (2g)x(2g) matrices
-over a prime field together with the similitude multiplier map and the
-centralizer test used in the odd-characteristic contradiction argument.
+sets are stored; this class is the friendly scalar view.  Its ``order`` is
+the single-matrix order routine; whole element arrays use
+``kernels.order_array``.
 """
 
 from __future__ import annotations
@@ -164,119 +162,3 @@ class ResidueMatrix:
 
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.modulus}"
-
-
-# ---------------------------------------------------------------------------
-# symplectic similitude matrices
-# ---------------------------------------------------------------------------
-
-Rows = tuple[tuple[int, ...], ...]
-
-
-def _mat_mul_rows(x: Rows, y: Rows, p: int) -> Rows:
-    n = len(x)
-    return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(n)) % p for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_transpose(x: Rows) -> Rows:
-    n = len(x)
-    return tuple(tuple(x[j][i] for j in range(n)) for i in range(n))
-
-
-def _omega(g: int, p: int) -> Rows:
-    """The fixed symplectic form [[0, -I_g], [I_g, 0]]."""
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][g + i] = (-1) % p
-        rows[g + i][i] = 1
-    return tuple(tuple(r) for r in rows)
-
-
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    """A (2g)x(2g) matrix over Z/pZ, tested against the fixed form Omega."""
-
-    p: int
-    g: int
-    rows: Rows
-
-    def __post_init__(self):
-        n = 2 * self.g
-        if len(self.rows) != n or any(len(r) != n for r in self.rows):
-            raise ValueError(f"expected a {n}x{n} matrix")
-        object.__setattr__(
-            self, "rows", tuple(tuple(e % self.p for e in r) for r in self.rows)
-        )
-
-    def mul(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        if (self.p, self.g) != (other.p, other.g):
-            raise ValueError("shape/field mismatch")
-        return SymplecticMatrix(self.p, self.g, _mat_mul_rows(self.rows, other.rows, self.p))
-
-
-def gsp_mult(x: SymplecticMatrix) -> int | None:
-    """Similitude multiplier of x, or None when x is not in GSp_2g.
-
-    x belongs to GSp iff x^T Omega x = lambda * Omega for a unit lambda; the
-    returned value is that lambda.
-    """
-    p, g = x.p, x.g
-    om = _omega(g, p)
-    lhs = _mat_mul_rows(_mat_mul_rows(_mat_transpose(x.rows), om, p), x.rows, p)
-    lam = lhs[g][0]  # Omega has a 1 at position (g, 0)
-    if lam % p == 0:
-        return None
-    for i in range(2 * g):
-        for j in range(2 * g):
-            if lhs[i][j] != (lam * om[i][j]) % p:
-                return None
-    return lam
-
-
-def _basis_test_matrices(g: int, p: int) -> list[Rows]:
-    """Test matrices whose span equals the span of all displayed shapes.
-
-    The first shape is [[A, 0], [0, -A^T]] with A running over GL_g; since
-    commutation with a matrix is linear in that matrix and GL_g spans all of
-    M_g, running A over the g^2 matrix units E_ij tests the identical
-    condition.  The two unipotent block shapes are included as-is.
-    """
-    n = 2 * g
-    out: list[Rows] = []
-    for i in range(g):
-        for j in range(g):
-            rows = [[0] * n for _ in range(n)]
-            rows[i][j] = 1
-            rows[g + j][g + i] = (-1) % p  # -(E_ij)^T
-            out.append(tuple(tuple(r) for r in rows))
-    for lower in (False, True):
-        rows = [[0] * n for _ in range(n)]
-        for i in range(g):
-            rows[i][i] = 1
-            rows[g + i][g + i] = (-1) % p
-            if lower:
-                rows[g + i][i] = 1
-            else:
-                rows[i][g + i] = 1
-        out.append(tuple(tuple(r) for r in rows))
-    return out
-
-
-def gsp_centralizer_is_scalar(x: SymplecticMatrix) -> bool:
-    """True iff x commutes with every test matrix of the three block shapes.
-
-    pre: x in GSp_2g (ValueError otherwise).  When this returns True, x is
-    scalar: x = lambda*I with gsp_mult(x) = lambda^2.
-    """
-    lam = gsp_mult(x)
-    if lam is None:
-        raise ValueError("x is not a symplectic similitude")
-    p = x.p
-    for z in _basis_test_matrices(x.g, p):
-        if _mat_mul_rows(x.rows, z, p) != _mat_mul_rows(z, x.rows, p):
-            return False
-    return True

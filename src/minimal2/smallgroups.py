@@ -62,21 +62,7 @@ class FiniteGroupTable:
 
     def orders(self) -> np.ndarray:
         if self._orders is None:
-            n = self.n
-            orders = np.zeros(n, dtype=np.int64)
-            acc = np.arange(n, dtype=np.int64)
-            k = 1
-            while True:
-                done = (orders == 0) & (acc == self.identity)
-                orders[done] = k
-                if not (orders == 0).any():
-                    break
-                rem = orders == 0
-                acc[rem] = self.table[acc[rem], np.nonzero(rem)[0]]
-                k += 1
-                if k > self.n + 1:
-                    raise AssertionError("order runaway")
-            self._orders = orders
+            self._orders = kernels.order_array(self.elements, self.modulus)
         return self._orders
 
     def prime_power_order_indices(self) -> np.ndarray:
@@ -184,38 +170,3 @@ class FiniteGroupTable:
             if verbose and head % 50 == 0:
                 print(f"  subgroup scan: {head}/{len(out)} classes expanded")
         return out
-
-    def sylow_indices(self, sub_idx: np.ndarray, q: int) -> np.ndarray:
-        """A Sylow q-subgroup of the subgroup with the given indices."""
-        orders = self.orders()[sub_idx]
-        target = 1
-        total = len(sub_idx)
-        while total % q == 0:
-            total //= q
-            target *= q
-        if target == 1:
-            return np.array([self.identity], dtype=np.int32)
-        v = orders.copy()
-        while True:
-            mask = v % q == 0
-            if not mask.any():
-                break
-            v[mask] //= q
-        q_elems = [int(e) for e in sub_idx[v == 1]]
-        gens: list[int] = []
-        current = self.closure_indices([])
-        while len(current) < target:
-            for x in q_elems:
-                if x in current:
-                    continue
-                cand = self.closure_indices(gens + [x])
-                sz = len(cand)
-                while sz % q == 0:
-                    sz //= q
-                if sz == 1:
-                    gens.append(x)
-                    current = cand
-                    break
-            else:
-                raise AssertionError("Sylow growth stalled")
-        return current

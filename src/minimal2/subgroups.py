@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .modmat import ResidueMatrix, _prime_power, gl2_order
+from .modmat import ResidueMatrix, _prime_factors, _prime_power, gl2_order
 
 DEFAULT_ELEMENT_BUDGET = 1 << 25
 DEFAULT_ORBIT_BUDGET = 4096
@@ -45,8 +45,8 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def _parity_int(v: int) -> int:
-    return bin(v).count("1") & 1
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -238,12 +238,13 @@ class OpenSubgroup:
         if m2 == self.modulus:
             return self
         m = self.modulus
-        kernel_gens = []
-        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            e = [[0, 0], [0, 0]]
-            e[i][j] = m
-            kernel_gens.append(
-                ResidueMatrix(m2, 1 + e[0][0], e[0][1], e[1][0], 1 + e[1][1]))
+        # I + m E_ij generate the kernel of reduction mod m, except from
+        # m = 2, where their dets lie in {1, 3} mod 8 and I + 4 E_ij are
+        # needed as well.
+        steps = [m, 4] if m == 2 and m2 >= 8 else [m]
+        kernel_gens = [ResidueMatrix(m2, *g) for e in steps
+                       for g in ((1 + e, 0, 0, 1), (1, e, 0, 1),
+                                 (1, 0, e, 1), (1, 0, 0, 1 + e))]
         gens = [ResidueMatrix(m2, *g.entries()) for g in self.generators]
         elems = None
         if self._elements is not None:
@@ -350,31 +351,14 @@ class OpenSubgroup:
         """All maximal (index-2) subgroups, one per Frattini hyperplane."""
         fq = self.frattini_quotient(verify=verify)
         out = []
+        m = self.modulus
         for mu in range(1, 1 << fq.rank):
-            mask = fq.hyperplane_mask(mu)
-            elems = self.elements[mask]
-            ti = next(i for i in range(fq.rank) if (mu >> i) & 1)
-            t = fq.basis[ti]
-            t_inv = t.inverse()
-            # Schreier generators for the transversal {I, t}
-            gens: list[ResidueMatrix] = []
-            seen: set[int] = set()
-            for g in self.generators:
-                gv = sum(c << i for i, c in enumerate(fq.coords(g)))
-                if _parity_int(gv & mu) == 0:
-                    cand = (g, t * g * t_inv)
-                else:
-                    cand = (g * t_inv, t * g)
-                for w in cand:
-                    wp = w.packed()
-                    if wp != kernels.IDENTITY and wp not in seen:
-                        seen.add(wp)
-                        gens.append(w)
-            if not gens:
-                gens = [ResidueMatrix.identity(self.modulus)]
-            out.append(OpenSubgroup(self.prime, self.modulus, gens,
-                                    _elements=elems,
-                                    element_budget=self.element_budget))
+            gens = schreier_generators(fq, self.generators, mu, m)
+            out.append(OpenSubgroup(
+                self.prime, m,
+                [kernels.unpack(g) for g in gens] or [(1, 0, 0, 1)],
+                _elements=self.elements[fq.hyperplane_mask(mu)],
+                element_budget=self.element_budget))
         return out
 
     # -- nilpotency ---------------------------------------------------------------
@@ -423,23 +407,12 @@ class OpenSubgroup:
     def sylow_decomposition_nilpotent(self) -> bool:
         """Cross-check criterion: nilpotent iff every Sylow subgroup is normal."""
         m = self.modulus
-        n = self.order()
-        gens = [g.packed() for g in self.generators]
-        nn = n
-        q = 2
-        while nn > 1:
-            while nn % q:
-                q += 1
-            qpart = 1
-            while nn % q == 0:
-                nn //= q
-                qpart *= q
-            syl = _grow_q_subgroup(self.elements, m, q, qpart,
-                                   self.element_budget)
-            for g in gens:
-                if not np.array_equal(kernels.conjugate_set(syl, g, m), syl):
+        for q in _prime_factors(self.order()):
+            syl = sylow_subgroup(self.elements, m, q, self.element_budget)
+            for g in self.generators:
+                conj = kernels.conjugate_set(syl, g.packed(), m)
+                if not np.array_equal(conj, syl):
                     return False
-            q += 1
         return True
 
     # -- conjugacy -------------------------------------------------------------------
@@ -491,6 +464,22 @@ class OpenSubgroup:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OpenSubgroup":
+        """Inverse of to_json_dict; raises ValueError naming the bad field."""
+        if not isinstance(d, dict):
+            raise ValueError("group JSON must be an object with keys "
+                             "prime, modulus, generators")
+        for key in ("prime", "modulus", "generators"):
+            if key not in d:
+                raise ValueError(f"group JSON is missing the key {key!r}")
+        for key in ("prime", "modulus"):
+            if not _is_int(d[key]):
+                raise ValueError(f"group JSON {key!r} must be an integer")
+        if not isinstance(d["generators"], list):
+            raise ValueError("group JSON 'generators' must be a list")
+        for k, e in enumerate(d["generators"]):
+            if not (isinstance(e, list) and len(e) == 4 and all(map(_is_int, e))):
+                raise ValueError(f"group JSON generators[{k}] must be a list "
+                                 f"of 4 integers, got {e!r}")
         return cls(d["prime"], d["modulus"],
                    [ResidueMatrix(d["modulus"], *e) for e in d["generators"]])
 
@@ -524,15 +513,19 @@ def ambient_generators(prime: int, modulus: int) -> list[int]:
     return gens
 
 
+def _is_primitive_root(g: int, modulus: int) -> bool:
+    """Whether g generates (Z/p^k)^x, for an odd prime power modulus."""
+    p, _ = _prime_power(modulus)
+    if g % p == 0:
+        return False
+    phi = modulus // p * (p - 1)
+    return all(pow(g, phi // q, modulus) != 1 for q in _prime_factors(phi))
+
+
 def _primitive_root(p: int, modulus: int) -> int:
     """A generator of (Z/p^k)^x for odd p."""
-    from .modmat import _prime_factors
-
-    phi = modulus // p * (p - 1)
     for g in range(2, modulus):
-        if g % p == 0:
-            continue
-        if all(pow(g, phi // q, modulus) != 1 for q in _prime_factors(phi)):
+        if _is_primitive_root(g, modulus):
             return g
     raise AssertionError("no primitive root found")
 
@@ -551,41 +544,19 @@ def _greedy_generators(targets: np.ndarray, m: int,
         current = kernels.closure(gens, m, cap=budget, seeds=current)
 
 
-def _element_orders(elements: np.ndarray, m: int) -> np.ndarray:
-    """Multiplicative order of every element, by iterated multiplication."""
-    n = len(elements)
-    orders = np.zeros(n, dtype=np.int64)
-    acc = elements.copy()
-    k = 1
-    while True:
-        remaining = orders == 0
-        done = remaining & (acc == kernels.IDENTITY)
-        orders[done] = k
-        remaining &= ~done
-        if not remaining.any():
-            return orders
-        acc[remaining] = kernels.mul_arrays(acc[remaining], elements[remaining], m)
-        k += 1
-        if k > 8 * m * m:
-            raise AssertionError("order computation runaway")
-
-
-def _grow_q_subgroup(elements: np.ndarray, m: int, q: int, target: int,
-                     budget: int) -> np.ndarray:
-    """A Sylow q-subgroup of the group with the given element set.
+def sylow_subgroup(elements: np.ndarray, m: int, q: int,
+                   budget: int = DEFAULT_ELEMENT_BUDGET) -> np.ndarray:
+    """A Sylow q-subgroup of the group with the given sorted element set.
 
     Greedy growth is complete: a q-subgroup that is not Sylow admits a
     normalizer element of q-power order whose adjunction stays a q-group.
+    Orders of elements and subgroups divide the group order, so "q-power"
+    means "divides the q-part" throughout.
     """
-    if target == 1:
-        return kernels.closure([], m)
-    v = _element_orders(elements, m).copy()
-    while True:
-        mask = v % q == 0
-        if not mask.any():
-            break
-        v[mask] //= q
-    q_elems = elements[v == 1]
+    target = 1
+    while len(elements) % (target * q) == 0:
+        target *= q
+    q_elems = elements[target % kernels.order_array(elements, m) == 0]
     gens: list[int] = []
     current = kernels.closure([], m)
     while len(current) < target:
@@ -594,7 +565,7 @@ def _grow_q_subgroup(elements: np.ndarray, m: int, q: int, target: int,
             if kernels.contains(current, xi):
                 continue
             cand = kernels.closure(gens + [xi], m, cap=budget)
-            if _is_q_power(len(cand), q):
+            if target % len(cand) == 0:
                 gens.append(xi)
                 current = cand
                 break
@@ -603,7 +574,23 @@ def _grow_q_subgroup(elements: np.ndarray, m: int, q: int, target: int,
     return current
 
 
-def _is_q_power(n: int, q: int) -> bool:
-    while n % q == 0:
-        n //= q
-    return n == 1
+def schreier_generators(fq: FrattiniQuotient, gens: "list[ResidueMatrix]",
+                        mu: int, m: int) -> list[int]:
+    """Packed generators of the hyperplane subgroup ker(mu) of <gens>.
+
+    With the transversal {I, t}, t the first basis element outside ker(mu),
+    the Schreier generators of <gens> are g, t g t^-1 for g in ker(mu) and
+    g t^-1, t g otherwise.  They come in first-appearance order with the
+    identity dropped.
+    """
+    t = fq.basis[(mu & -mu).bit_length() - 1].packed()
+    t_inv = kernels.inv(t, m)
+    out: dict[int, None] = {}
+    for g in (x.packed() for x in gens):
+        if sum(c & (mu >> i) for i, c in enumerate(fq.coords(g))) % 2 == 0:
+            cand = (g, kernels.mul(kernels.mul(t, g, m), t_inv, m))
+        else:
+            cand = (kernels.mul(g, t_inv, m), kernels.mul(t, g, m))
+        out.update(dict.fromkeys(cand))
+    out.pop(kernels.IDENTITY, None)
+    return list(out)

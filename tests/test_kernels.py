@@ -123,6 +123,16 @@ class TestBulkOps:
         for u in range(1, 16, 2):
             assert (u * int(tbl[u])) % 16 == 1
 
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_order_array_matches_residue_matrix_order(self, m):
+        from minimal2.subgroups import ambient_generators
+
+        p = 3 if m == 3 else 2
+        group = kernels.closure(ambient_generators(p, m), m)
+        assert len(group) == gl2_order(m)
+        want = [ResidueMatrix.from_packed(int(x), m).order() for x in group]
+        assert kernels.order_array(group, m).tolist() == want
+
     def test_square_array(self):
         rng = np.random.default_rng(3)
         xs = kernels.pack_array(*[rng.integers(0, 8, size=64)

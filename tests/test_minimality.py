@@ -38,6 +38,14 @@ class TestIsMinimal:
         assert rep.is_two_group and rep.det_surjective
         assert rep.frattini_rank == 4
         assert rep.certifying_modulus == 8
+
+    def test_mod2_model_of_the_sylow_agrees(self):
+        ref = is_minimal(sylow_pro2_subgroup())
+        rep = is_minimal(OpenSubgroup(2, 2, [(1, 1, 0, 1)]))
+        assert rep.verdict == ref.verdict
+        assert rep.det_surjective is True
+        assert rep.frattini_rank == ref.frattini_rank == 4
+        assert rep.witnesses["kind"] == ref.witnesses["kind"]
         # the witness is index 2 with full determinant image
         assert rep.witnesses["index_in_group"] == 2
         assert rep.witnesses["det_image_mod8"] == [1, 3, 5, 7]
@@ -232,13 +240,14 @@ class TestFalsifier:
             for w in falsifier_reports[p].witnesses:
                 m = p * p
                 g = kernels.pack(*w.generator)
-                assert minimality._matrix_order_mod(g, m) == w.cyclic_order
                 assert w.cyclic_order < w.preimage_order
                 # det of the cyclic group covers all units mod p^2
                 assert w.det_order == p * (p - 1)
                 dets = set()
                 acc = g
-                for _ in range(w.cyclic_order):
+                for k in range(1, w.cyclic_order + 1):
+                    # g^k is the identity first at k = cyclic_order
+                    assert (acc == kernels.IDENTITY) == (k == w.cyclic_order)
                     dets.add(kernels.det(acc, m))
                     acc = kernels.mul(acc, g, m)
                 assert len(dets) == p * (p - 1)

@@ -35,6 +35,10 @@ class TestClassicalCurves:
         assert (g.psl_index, g.nu2, g.nu3, g.cusps, g.genus) == (3, 1, 0, 2, 0)
         assert label(borel8()) == (2, 3, 0)
 
+    def test_mod2_and_mod4_models_are_lifted_to_8(self):
+        assert label(OpenSubgroup(2, 2, [(1, 1, 0, 1)])) == (2, 3, 0)
+        assert genus(borel8().reduce(4)) == genus(borel8())
+
     def test_principal_level_two_curve(self):
         H = principal2_at8()
         assert H.order() == 256

@@ -1,4 +1,4 @@
-"""Residue-matrix and symplectic-similitude arithmetic."""
+"""Residue-matrix arithmetic."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimal2 import kernels
-from minimal2.modmat import (
-    ResidueMatrix,
-    SymplecticMatrix,
-    gl2_order,
-    gsp_centralizer_is_scalar,
-    gsp_mult,
-)
+from minimal2.modmat import ResidueMatrix, gl2_order
 
 
 def M8(a, b, c, d):
@@ -153,121 +147,3 @@ class TestReduceHomomorphism:
         assert (repacked == g8).all()
         x = ResidueMatrix.from_packed(int(g8[137]), 8)
         assert x.packed() == int(g8[137])
-
-
-def _sym(p, g, rows):
-    return SymplecticMatrix(p, g, tuple(tuple(r) for r in rows))
-
-
-def _diag(p, g, vals):
-    n = 2 * g
-    return _sym(p, g, [[vals[i] if i == j else 0 for j in range(n)]
-                       for i in range(n)])
-
-
-class TestSymplecticSimilitude:
-    def test_identity_has_multiplier_one(self):
-        assert gsp_mult(_diag(3, 2, [1, 1, 1, 1])) == 1
-        assert gsp_mult(_diag(5, 1, [1, 1])) == 1
-
-    def test_standard_form_matrix_is_a_similitude(self):
-        # the form matrix itself: J^T Omega J = Omega when lambda = 1
-        omega = _sym(3, 2, [[0, 0, 0, 2], [0, 0, 2, 0],
-                            [0, 1, 0, 0], [1, 0, 0, 0]])
-        lam = gsp_mult(omega)
-        assert lam in (1, 2)
-
-    def test_scaling_half_the_basis_gives_multiplier(self):
-        assert gsp_mult(_diag(3, 2, [2, 2, 1, 1])) == 2
-        assert gsp_mult(_diag(5, 2, [3, 3, 1, 1])) == 3
-
-    def test_non_similitude_returns_none(self):
-        assert gsp_mult(_diag(3, 2, [1, 1, 1, 2])) is None
-        assert gsp_mult(_sym(3, 2, [[1, 1, 0, 0], [0, 1, 0, 0],
-                                    [0, 0, 1, 0], [0, 1, 0, 1]])) is None
-
-    def test_genus_one_similitudes_are_all_of_gl2(self):
-        # for g = 1 the pairing condition reads det(M) = lambda
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    for d in range(3):
-                        det = (a * d - b * c) % 3
-                        lam = gsp_mult(_sym(3, 1, [[a, b], [c, d]]))
-                        if det == 0:
-                            assert lam is None
-                        else:
-                            assert lam == det
-
-    def test_scalar_centralizer_examples(self):
-        two_I = _diag(5, 2, [2, 2, 2, 2])
-        assert gsp_centralizer_is_scalar(two_I) is True
-        assert gsp_mult(two_I) == 4
-        omega = _sym(3, 2, [[0, 0, 0, 2], [0, 0, 2, 0],
-                            [0, 1, 0, 0], [1, 0, 0, 0]])
-        assert gsp_centralizer_is_scalar(omega) is False
-
-    def test_centralizer_check_rejects_non_members(self):
-        with pytest.raises(ValueError):
-            gsp_centralizer_is_scalar(_diag(3, 2, [1, 1, 1, 2]))
-
-    def test_genus_one_exhaustive_central_elements(self):
-        # over F_3, exactly the scalars commute with everything; their
-        # multiplier is the square of the scalar
-        central = []
-        for a in range(3):
-            for b in range(3):
-                for c in range(3):
-                    for d in range(3):
-                        M = _sym(3, 1, [[a, b], [c, d]])
-                        if gsp_mult(M) is None:
-                            continue
-                        if gsp_centralizer_is_scalar(M):
-                            central.append((a, b, c, d))
-        assert central == [(1, 0, 0, 1), (2, 0, 0, 2)]
-        assert gsp_mult(_diag(3, 1, [2, 2])) == 1  # 2^2 = 4 = 1, a square
-
-    def test_genus_two_commutant_is_one_dimensional(self):
-        # solve XZ = ZX over F_3 for every probe Z used by the centralizer
-        # check; the solution space inside all 4x4 matrices must be exactly
-        # the scalars, so any group element passing the check is scalar
-        from minimal2.modmat import _basis_test_matrices
-
-        p, g = 3, 2
-        probes = _basis_test_matrices(g, p)
-        rows = []
-        for Z in probes:
-            Zr = [list(r) for r in Z]
-            for i in range(4):
-                for j in range(4):
-                    # coefficient of X[k][l] in (XZ - ZX)[i][j]
-                    row = [0] * 16
-                    for l in range(4):
-                        row[i * 4 + l] = (row[i * 4 + l] + Zr[l][j]) % p
-                    for k in range(4):
-                        row[k * 4 + j] = (row[k * 4 + j] - Zr[i][k]) % p
-                    rows.append(row)
-        # gaussian elimination over F_3
-        rank = 0
-        cols = 16
-        for col in range(cols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], -1, p)
-            rows[rank] = [(v * inv) % p for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        assert cols - rank == 1  # scalars only
-
-    def test_scalar_multiplier_is_always_a_square(self):
-        for p in (3, 5):
-            squares = {(x * x) % p for x in range(1, p)}
-            for lam_root in range(1, p):
-                M = _diag(p, 2, [lam_root] * 4)
-                assert gsp_centralizer_is_scalar(M) is True
-                assert gsp_mult(M) in squares

@@ -175,6 +175,29 @@ class TestCli:
         assert len(calls) == 1
         assert rep.results["label"] == [2, 3, 0]
 
+    def test_genus_accepts_a_mod2_model(self, tmp_path, capsys):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(
+            {"prime": 2, "modulus": 2, "generators": [[1, 1, 0, 1]]}))
+        rc = cli.main(["genus", "--group", str(gpath), "--quiet"])
+        assert rc == 0
+        assert "label 2.3.0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("doc, field", [
+        ([2, 8, [[1, 1, 0, 1]]], "object"),
+        ({"prime": 2, "generators": [[1, 1, 0, 1]]}, "'modulus'"),
+        ({"prime": 2, "modulus": 8, "generators": [[1, 1, 0, 1], [3, 0, 0]]},
+         "generators[1]"),
+    ])
+    def test_malformed_group_json_names_the_field(self, tmp_path, capsys,
+                                                  doc, field):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(doc))
+        rc = cli.main(["check", "--group", str(gpath), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ValueError" in err and field in err
+
     def test_family_check_label(self, capsys):
         rc = cli.main(["family-check", "--label", "16.48.0.25", "--trials",
                        "4", "--primes", "3", "--quiet"])

@@ -5,7 +5,7 @@ import pytest
 
 from minimal2 import kernels
 from minimal2.smallgroups import FiniteGroupTable
-from minimal2.subgroups import ambient_generators
+from minimal2.subgroups import ambient_generators, sylow_subgroup
 
 
 @pytest.fixture(scope="module")
@@ -82,12 +82,12 @@ class TestSubgroupMachinery:
             assert np.array_equal(gl2_f3.closure_indices(gens), idx)
             assert 48 % len(idx) == 0
 
-    def test_sylow_indices(self, gl2_f3):
-        allidx = np.arange(48, dtype=np.int32)
-        syl2 = gl2_f3.sylow_indices(allidx, 2)
-        assert len(syl2) == 16
-        syl3 = gl2_f3.sylow_indices(allidx, 3)
-        assert len(syl3) == 3
+    def test_sylow_subgroup(self, gl2_f3):
+        for q, size in ((2, 16), (3, 3), (5, 1)):
+            syl = sylow_subgroup(gl2_f3.elements, 3, q)
+            assert len(syl) == size
+            assert kernels.is_subset(syl, gl2_f3.elements)
+            assert np.array_equal(kernels.closure(syl, 3), syl)
 
     def test_budget_cap(self):
         with pytest.raises(kernels.BudgetExceeded):

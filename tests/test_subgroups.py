@@ -5,7 +5,13 @@ import pytest
 
 from minimal2 import kernels
 from minimal2.modmat import ResidueMatrix, gl2_order
-from minimal2.subgroups import OpenSubgroup, ambient_generators, closure
+from minimal2.subgroups import (
+    OpenSubgroup,
+    _is_primitive_root,
+    ambient_generators,
+    closure,
+    schreier_generators,
+)
 
 D31 = (3, 0, 0, 1)
 D51 = (5, 0, 0, 1)
@@ -21,6 +27,12 @@ def full_group(modulus):
 def sylow8():
     return OpenSubgroup(2, 8, [(1, 1, 0, 1), (1, 0, 2, 1), (3, 0, 0, 1),
                                (1, 0, 0, 3), (5, 0, 0, 1), (1, 0, 0, 5)])
+
+
+def rank3_group():
+    # a det-full index-2 subgroup of the Sylow, Frattini rank 3
+    return OpenSubgroup(2, 8, [(5, 1, 0, 1), (5, 5, 0, 1), (1, 0, 2, 1),
+                               (3, 0, 0, 1), (1, 0, 0, 3), (5, 0, 0, 5)])
 
 
 class TestConstruction:
@@ -99,6 +111,22 @@ class TestReduceLift:
         H = sylow8()  # level 2 <= 8, a genuine preimage
         again = H.reduce(4).lift(8)
         assert np.array_equal(again.elements, H.elements)
+
+    @pytest.mark.parametrize("gens", [[], [SHEAR], [(0, 1, 1, 0)], [D31],
+                                      [SHEAR, (1, 0, 1, 1)]])
+    def test_lift_generators_generate_the_preimage(self, gens):
+        # the lift's own generators close up to the full preimage
+        for m, m2 in ((2, 4), (2, 8), (2, 16), (4, 8), (4, 16), (8, 16)):
+            H = OpenSubgroup(2, m, gens)
+            up = H.lift(m2)
+            got = kernels.closure([g.packed() for g in up.generators], m2)
+            want = kernels.lift_array(H.elements, m, m2)
+            assert np.array_equal(got, want), (m, m2)
+
+    def test_mod2_sylow_model_lifts_to_the_sylow(self):
+        H = OpenSubgroup(2, 2, [SHEAR])
+        assert H.lift(8).order() == sylow8().order() == 512
+        assert H.lift(8).det_surjective_2adic() is True
 
 
 class TestDetImage:
@@ -253,6 +281,42 @@ class TestIndexTwoSubgroups:
             assert phi <= s
         inter = set.intersection(*child_sets)
         assert inter == phi
+
+
+class TestSchreierGenerators:
+    @pytest.mark.parametrize("make", [sylow8, rank3_group])
+    def test_generate_every_hyperplane_subgroup(self, make):
+        H = make()
+        fq = H.frattini_quotient()
+        assert fq.rank == (4 if make is sylow8 else 3)
+        for gens in (fq.basis, H.generators):
+            for mu in range(1, 1 << fq.rank):
+                sg = schreier_generators(fq, gens, mu, 8)
+                assert kernels.IDENTITY not in sg
+                assert len(set(sg)) == len(sg)
+                want = H.elements[fq.hyperplane_mask(mu)]
+                assert np.array_equal(kernels.closure(sg, 8), want)
+
+    def test_index2_subgroups_use_the_generators_in_order(self):
+        H = rank3_group()
+        fq = H.frattini_quotient()
+        for mu, child in enumerate(H.index2_subgroups(), start=1):
+            assert [g.packed() for g in child.generators] == \
+                schreier_generators(fq, H.generators, mu, 8)
+
+
+class TestPrimitiveRoot:
+    @pytest.mark.parametrize("modulus", [9, 25, 27])
+    def test_matches_brute_force_orders(self, modulus):
+        p = 3 if modulus % 3 == 0 else 5
+        phi = modulus // p * (p - 1)
+        for g in range(modulus):
+            order = None
+            if g % p:
+                order, acc = 1, g
+                while acc != 1:
+                    acc, order = acc * g % modulus, order + 1
+            assert _is_primitive_root(g, modulus) == (order == phi), g
 
 
 class TestNilpotency:
