@@ -404,7 +404,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 child_elems = HM.elements[fq.hyperplane_mask(mu)]
                 if not _level_at_most(child_elems, HM.modulus, level_bound):
                     continue
-                gens = schreier_generators(fq, fq.basis, mu, HM.modulus)
+                gens = schreier_generators(fq, fq.basis, mu)
                 child = OpenSubgroup(2, HM.modulus,
                                      [kernels.unpack(g) for g in gens],
                                      _elements=child_elems,

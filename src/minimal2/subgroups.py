@@ -353,10 +353,9 @@ class OpenSubgroup:
         out = []
         m = self.modulus
         for mu in range(1, 1 << fq.rank):
-            gens = schreier_generators(fq, self.generators, mu, m)
+            gens = schreier_generators(fq, self.generators, mu)
             out.append(OpenSubgroup(
-                self.prime, m,
-                [kernels.unpack(g) for g in gens] or [(1, 0, 0, 1)],
+                self.prime, m, [kernels.unpack(g) for g in gens],
                 _elements=self.elements[fq.hyperplane_mask(mu)],
                 element_budget=self.element_budget))
         return out
@@ -575,7 +574,7 @@ def sylow_subgroup(elements: np.ndarray, m: int, q: int,
 
 
 def schreier_generators(fq: FrattiniQuotient, gens: "list[ResidueMatrix]",
-                        mu: int, m: int) -> list[int]:
+                        mu: int) -> list[int]:
     """Packed generators of the hyperplane subgroup ker(mu) of <gens>.
 
     With the transversal {I, t}, t the first basis element outside ker(mu),
@@ -583,6 +582,7 @@ def schreier_generators(fq: FrattiniQuotient, gens: "list[ResidueMatrix]",
     g t^-1, t g otherwise.  They come in first-appearance order with the
     identity dropped.
     """
+    m = fq._modulus
     t = fq.basis[(mu & -mu).bit_length() - 1].packed()
     t_inv = kernels.inv(t, m)
     out: dict[int, None] = {}

@@ -38,6 +38,9 @@ class TestIsMinimal:
         assert rep.is_two_group and rep.det_surjective
         assert rep.frattini_rank == 4
         assert rep.certifying_modulus == 8
+        # the witness is index 2 with full determinant image
+        assert rep.witnesses["index_in_group"] == 2
+        assert rep.witnesses["det_image_mod8"] == [1, 3, 5, 7]
 
     def test_mod2_model_of_the_sylow_agrees(self):
         ref = is_minimal(sylow_pro2_subgroup())
@@ -45,10 +48,8 @@ class TestIsMinimal:
         assert rep.verdict == ref.verdict
         assert rep.det_surjective is True
         assert rep.frattini_rank == ref.frattini_rank == 4
-        assert rep.witnesses["kind"] == ref.witnesses["kind"]
-        # the witness is index 2 with full determinant image
-        assert rep.witnesses["index_in_group"] == 2
-        assert rep.witnesses["det_image_mod8"] == [1, 3, 5, 7]
+        for key in ("kind", "index_in_group", "det_image_mod8"):
+            assert rep.witnesses[key] == ref.witnesses[key]
 
     def test_det_deficient_group_rejected(self):
         rep = is_minimal(closure([(3, 0, 0, 1)], 8))

@@ -291,7 +291,7 @@ class TestSchreierGenerators:
         assert fq.rank == (4 if make is sylow8 else 3)
         for gens in (fq.basis, H.generators):
             for mu in range(1, 1 << fq.rank):
-                sg = schreier_generators(fq, gens, mu, 8)
+                sg = schreier_generators(fq, gens, mu)
                 assert kernels.IDENTITY not in sg
                 assert len(set(sg)) == len(sg)
                 want = H.elements[fq.hyperplane_mask(mu)]
@@ -302,7 +302,7 @@ class TestSchreierGenerators:
         fq = H.frattini_quotient()
         for mu, child in enumerate(H.index2_subgroups(), start=1):
             assert [g.packed() for g in child.generators] == \
-                schreier_generators(fq, H.generators, mu, 8)
+                schreier_generators(fq, H.generators, mu)
 
 
 class TestPrimitiveRoot:
