@@ -219,12 +219,17 @@ def contains(sorted_set: np.ndarray, x: int) -> bool:
     return bool(i < sorted_set.shape[0] and sorted_set[i] == x)
 
 
+def in_sorted(xs: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
+    """Boolean mask of the xs that lie in the non-empty sorted array."""
+    idx = np.searchsorted(sorted_set, xs)
+    idx[idx >= sorted_set.shape[0]] = sorted_set.shape[0] - 1
+    return sorted_set[idx] == xs
+
+
 def is_subset(candidates: np.ndarray, sorted_set: np.ndarray) -> bool:
     if candidates.size == 0:
         return True
-    idx = np.searchsorted(sorted_set, candidates)
-    idx[idx >= sorted_set.shape[0]] = sorted_set.shape[0] - 1
-    return bool(np.all(sorted_set[idx] == candidates))
+    return bool(in_sorted(candidates, sorted_set).all())
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +252,7 @@ def closure(gens, m: int, cap: int = 1 << 27, seeds=None) -> np.ndarray:
     while gens:
         cand = np.unique(np.concatenate(
             [mul_array_scalar(frontier, g, m) for g in gens]))
-        idx = np.searchsorted(known, cand)
-        idx[idx >= known.shape[0]] = known.shape[0] - 1
-        fresh = cand[known[idx] != cand]
+        fresh = cand[~in_sorted(cand, known)]
         if fresh.size == 0:
             break
         if known.size + fresh.size > cap:

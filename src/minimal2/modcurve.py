@@ -1,14 +1,25 @@
 """Genus of the modular curve attached to an open subgroup of GL_2(Z_2).
 
 The curve only depends on G up to adjoining -I, so the pipeline is: adjoin
--I, reduce to the level N of the enlarged group, intersect with SL_2, push
-into PSL_2(Z/N), and act on the right cosets.  The genus then comes from the
-standard coset-action formula
+-I, reduce to the level n of the enlarged group and intersect with SL_2,
+giving H with -I in H.  SL_2(Z/n) acts on the right cosets of H as
+PSL_2(Z/n) acts on those of H/{+-I}, and the genus comes from the standard
+formula
 
     g = 1 + m/12 - nu2/4 - nu3/3 - c/2
 
-with m the PSL index, nu2 / nu3 the fixed cosets of the standard order-2 and
-order-3 elements, and c the orbit count of the unipotent translation.
+with m = [SL_2 : H] the PSL index.  No coset is enumerated.  H x is fixed by
+sigma iff x sigma x^-1 lies in H, so nu2 and nu3 are
+
+    #{x in SL_2(Z/n) : x sigma x^-1 in H} / |H|
+
+for the standard elements sigma of order 4 and 3, and the cusps, the orbits
+of the translation U, follow from Burnside's lemma over <U> = Z/n:
+
+    c = sum over x of #{k : x U^k x^-1 in H} / (n |H|).
+
+Each count is a few whole-array passes over the sorted SL_2(Z/n) array
+with a binary-search membership test in H.
 """
 
 from __future__ import annotations
@@ -67,22 +78,17 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
 
 
 @lru_cache(maxsize=None)
-def _psl_context(n: int):
-    """(sorted SL_2(Z/n) packed array, sorted PSL representative array).
-
-    PSL representatives are min(x, -x) packed values.
-    """
-    sl = kernels.closure([kernels.pack(*(v % n for v in _U)),
-                          kernels.pack(1, 0, 1, 1)], n)
+def _psl_context(n: int) -> np.ndarray:
+    """Sorted packed SL_2(Z/n), n a power of 2."""
+    sl = kernels.closure([_packed(_U, n), kernels.pack(1, 0, 1, 1)], n)
     k = (n.bit_length() - 1)
     if len(sl) != 3 * 2 ** (3 * k - 2):
         raise AssertionError("SL_2 closure has the wrong order")
-    psl = np.unique(np.minimum(sl, kernels.neg_array(sl, n)))
-    return sl, psl
+    return sl
 
 
-def _psl_rep(xs: np.ndarray, n: int) -> np.ndarray:
-    return np.minimum(xs, kernels.neg_array(xs, n))
+def _packed(sigma: tuple[int, int, int, int], n: int) -> int:
+    return kernels.pack(*(v % n for v in sigma))
 
 
 def genus(G: OpenSubgroup) -> GenusData:
@@ -96,70 +102,46 @@ def genus(G: OpenSubgroup) -> GenusData:
     n = Gm.level()
     if n == 1:
         return GenusData(psl_index=1, nu2=1, nu3=1, cusps=1, genus=0)
-    Gmn = Gm.reduce(n)
-    elems = Gmn.elements
+    elems = Gm.reduce(n).elements
     h_sl = elems[kernels.det_array(elems, n) == 1]
-    _, psl = _psl_context(n)
+    h = len(h_sl)
+    sl = _psl_context(n)
+    if len(sl) % h:
+        raise AssertionError("|H cap SL_2| does not divide |SL_2|")
+    m = len(sl) // h
+    sl_inv = kernels.inv_array(sl, n)
 
-    # enumerate cosets: on first contact with a coset, materialize all of it
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
+    def fixed(sigma: tuple[int, int, int, int]) -> int:
+        # H x is fixed by sigma iff x sigma x^-1 lies in H
+        conj = kernels.mul_arrays(kernels.mul_array_scalar(sl, _packed(sigma, n), n),
+                                  sl_inv, n)
+        count = int(kernels.in_sorted(conj, h_sl).sum())
+        if count % h:
+            raise AssertionError("fixed-point count is not a multiple of |H cap SL_2|")
+        return count // h
 
-    def discover(x: int) -> int:
-        members = _psl_rep(kernels.mul_array_scalar(h_sl, x, n), n)
-        cid = len(reps)
-        reps.append(x)
-        for v in np.unique(members):
-            coset_of[int(v)] = cid
-        return cid
-
-    discover(kernels.IDENTITY)
-    gens = [kernels.pack(*(v % n for v in _U)), kernels.pack(1, 0, 1, 1)]
-    head = 0
-    while head < len(reps):
-        r = reps[head]
-        head += 1
-        for s in gens:
-            y = int(_psl_rep(np.array([kernels.mul(r, s, n)], dtype=np.int64), n)[0])
-            if y not in coset_of:
-                discover(y)
-    m = len(reps)
-    hbar_size = len(np.unique(_psl_rep(h_sl, n)))
-    if m * hbar_size != len(psl) or len(coset_of) != len(psl):
-        raise AssertionError("coset enumeration did not tile PSL_2")
-
-    def perm(sigma: tuple[int, int, int, int]) -> list[int]:
-        sp = kernels.pack(*(v % n for v in sigma))
-        out = []
-        for r in reps:
-            y = int(_psl_rep(np.array([kernels.mul(r, sp, n)], dtype=np.int64), n)[0])
-            out.append(coset_of[y])
-        return out
-
-    perm_s = perm(_S)
-    perm_t = perm(_T3)
-    perm_u = perm(_U)
-    nu2 = sum(1 for j, t in enumerate(perm_s) if t == j)
-    nu3 = sum(1 for j, t in enumerate(perm_t) if t == j)
-    cusps = _orbit_count(perm_u)
+    nu2 = fixed(_S)
+    nu3 = fixed(_T3)
+    # x U^k x^-1 = I + k N_x with N_x = [[-ac, a^2], [-c^2, ac]]; the k that
+    # land in H form d_x Z/n, and d_x is the least divisor of n that does.
+    a, _, c, _ = kernels.unpack_array(sl)
+    ac, aa, cc = a * c, a * a, c * c
+    burnside = 0
+    divisors = [d for d in range(1, n) if n % d == 0]
+    for d in divisors:
+        hit = kernels.in_sorted(kernels.pack_array(
+            (1 - d * ac) % n, (d * aa) % n, (-d * cc) % n, (1 + d * ac) % n), h_sl)
+        burnside += (n // d) * int(hit.sum())
+        ac, aa, cc = ac[~hit], aa[~hit], cc[~hit]
+    burnside += len(ac)  # d_x = n: only U^0
+    if burnside % (n * h):
+        raise AssertionError("Burnside sum is not a multiple of n |H cap SL_2|")
+    cusps = burnside // (n * h)
     g = Fraction(1) + Fraction(m, 12) - Fraction(nu2, 4) - Fraction(nu3, 3) \
         - Fraction(cusps, 2)
     if g.denominator != 1:
         raise AssertionError("genus formula returned a non-integer")
     return GenusData(psl_index=m, nu2=nu2, nu3=nu3, cusps=cusps, genus=int(g))
-
-
-def _orbit_count(perm: list[int]) -> int:
-    seen = [False] * len(perm)
-    count = 0
-    for i in range(len(perm)):
-        if not seen[i]:
-            count += 1
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-    return count
 
 
 def label(G: OpenSubgroup) -> tuple[int, int, int]:
