@@ -7,7 +7,6 @@ from .ellcurve import (
     PrimeFieldElem,
     QuadFieldElem,
     WeierstrassCurve,
-    conic_points,
     family_identity_check,
     load_family_specs,
     quad_sqrt,
@@ -32,7 +31,6 @@ from .minimality import (
     is_minimal,
     maximal_determinant_images,
     nilpotent_lift_check,
-    random_two_generator,
     sylow_pro2_subgroup,
     verify_non_two_group_witness,
     verify_unit_square_lemma,
@@ -61,7 +59,6 @@ __all__ = [
     "ambient_generators",
     "census",
     "closure",
-    "conic_points",
     "d_determinant",
     "falsify_odd_prime",
     "family_identity_check",
@@ -79,7 +76,6 @@ __all__ = [
     "nilpotent_lift_check",
     "quad_sqrt",
     "quadfamily_check",
-    "random_two_generator",
     "run",
     "sylow_pro2_subgroup",
     "verify_all",

@@ -30,7 +30,6 @@ __all__ = [
     "WeierstrassCurve",
     "FamilySpec",
     "quad_sqrt",
-    "conic_points",
     "load_family_specs",
     "family_identity_check",
     "quadfamily_check",
@@ -406,28 +405,6 @@ def _sqrt_mod_prime(n: int, p: int) -> "int | None":
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
     return r
-
-
-def conic_points(p: int, count: int) -> list[tuple[int, int]]:
-    """Distinct solutions (a, b) of a^2 + b^2 = -1 over F_p, p odd.
-
-    Scans b = 0, 1, 2, ... and emits both square roots for each solvable
-    b, smaller root first, so the output is deterministic.
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError("odd prime required")
-    out: list[tuple[int, int]] = []
-    for b in range(p):
-        if len(out) >= count:
-            break
-        a = _sqrt_mod_prime(-1 - b * b, p)
-        if a is None:
-            continue
-        roots = sorted({a, (p - a) % p})
-        for r in roots:
-            if len(out) < count:
-                out.append((r, b))
-    return out
 
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)

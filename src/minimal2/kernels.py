@@ -62,11 +62,6 @@ def inv(x: int, m: int) -> int:
     return pack((d * di) % m, (-b * di) % m, (-c * di) % m, (a * di) % m)
 
 
-def reduce_packed(x: int, m2: int) -> int:
-    a, b, c, d = unpack(x)
-    return pack(a % m2, b % m2, c % m2, d % m2)
-
-
 def neg(x: int, m: int) -> int:
     a, b, c, d = unpack(x)
     return pack((-a) % m, (-b) % m, (-c) % m, (-d) % m)
@@ -119,6 +114,13 @@ def mul_arrays(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
 def det_array(xs: np.ndarray, m: int) -> np.ndarray:
     a, b, c, d = unpack_array(xs)
     return (a * d - b * c) % m
+
+
+def det_image(xs: np.ndarray, m: int, n: int) -> frozenset[int]:
+    """The determinants mod n (n | m) of the packed matrices mod m."""
+    if m % n:
+        raise ValueError(f"{n} does not divide modulus {m}")
+    return frozenset(int(v) for v in np.unique(det_array(xs, m) % n))
 
 
 def reduce_array(xs: np.ndarray, m2: int) -> np.ndarray:

@@ -45,11 +45,11 @@ from .subgroups import (
     FrattiniQuotient,
     OpenSubgroup,
     UNIT_RESIDUES_MOD_8,
+    _determined_mod,
     _greedy_generators,
     _is_primitive_root,
     _primitive_root,
     ambient_generators,
-    closure,
     schreier_generators,
     sylow_subgroup,
 )
@@ -183,8 +183,7 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
                 current = cand
                 grew = True
                 break
-    dets = frozenset(int(v) % 8 for v in np.unique(kernels.det_array(current, HM.modulus)))
-    if dets != UNIT_RESIDUES_MOD_8:
+    if kernels.det_image(current, HM.modulus, 8) != UNIT_RESIDUES_MOD_8:
         raise AssertionError("Sylow-grown maximal lost determinant fullness")
     return OpenSubgroup(2, HM.modulus, [kernels.unpack(g) for g in gens],
                         _elements=current)
@@ -212,7 +211,7 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
         witnesses = {
             "kind": "failed_precondition",
             "reason": "determinant not surjective",
-            "det_image_mod8": HM.det_image(8),
+            "det_image_mod8": sorted(kernels.det_image(HM.elements, HM.modulus, 8)),
         }
     elif not two_group:
         verdict = False
@@ -222,7 +221,8 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
                 "kind": "maximal_subgroup_with_full_det",
                 "subgroup": wit.to_json_dict(),
                 "index_in_group": len(HM.elements) // len(wit.elements),
-                "det_image_mod8": wit.det_image(8),
+                "det_image_mod8": sorted(kernels.det_image(wit.elements,
+                                                           wit.modulus, 8)),
             }
     else:
         fq = HM.frattini_quotient()
@@ -247,7 +247,8 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
                     "kind": "maximal_subgroup_with_full_det",
                     "subgroup": wit.to_json_dict(),
                     "index_in_group": 2,
-                    "det_image_mod8": wit.det_image(8),
+                    "det_image_mod8": sorted(kernels.det_image(wit.elements,
+                                                               wit.modulus, 8)),
                 }
     return verdict, two_group, det_full, rank, witnesses
 
@@ -337,21 +338,19 @@ class CensusBudgetError(kernels.BudgetExceeded):
         self.nodes_visited = nodes_visited
 
 
-def _level_at_most(elems: np.ndarray, modulus: int, bound: int) -> bool:
-    """Whether the subgroup with the given mod-``modulus`` elements has
-    level <= bound, i.e. is already determined by its mod-``bound`` image."""
-    if bound >= modulus:
-        return True
-    ratio4 = (modulus // bound) ** 4
-    reduced = np.unique(kernels.reduce_array(elems, bound))
-    return len(reduced) * ratio4 == len(elems)
+def check_census_bounds(level_bound: int, index_bound: int) -> None:
+    """Raise ValueError unless the census can run with these bounds."""
+    if level_bound < 1 or level_bound & (level_bound - 1):
+        raise ValueError("level_bound must be a power of 2")
+    if level_bound > 128:
+        raise ValueError("level_bound above 128 is out of scope")
+    if index_bound < 3:
+        raise ValueError("index_bound below the Sylow index finds nothing")
 
 
 def census(level_bound: int = 64, index_bound: int = 96,
            genus_filter: Optional[int] = None, *,
-           reverify: bool = True,
            element_budget: int = DEFAULT_ELEMENT_BUDGET,
-           orbit_budget: int = 1024,
            progress: Optional[Callable[[str], None]] = None) -> list[CensusEntry]:
     """All conjugacy classes of minimal subgroups within the given bounds.
 
@@ -359,14 +358,10 @@ def census(level_bound: int = 64, index_bound: int = 96,
     rank 2 is a minimal class (recorded, not descended: its maximal subgroups
     have deficient determinant); a node of higher rank contributes exactly its
     det-full, level-bounded, index-bounded hyperplane children.  Conjugate
-    duplicates are cut by canonical-key digests at the level modulus.
+    duplicates are cut by canonical-key digests at the level modulus.  Every
+    entry is re-certified by ``is_minimal`` before it is returned.
     """
-    if level_bound < 1 or level_bound & (level_bound - 1):
-        raise ValueError("level_bound must be a power of 2")
-    if level_bound > 128:
-        raise ValueError("level_bound above 128 is out of scope")
-    if index_bound < 3:
-        raise ValueError("index_bound below the Sylow index finds nothing")
+    check_census_bounds(level_bound, index_bound)
 
     entries: list[CensusEntry] = []
     seen: set[str] = set()
@@ -382,7 +377,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
             HL._level = lvl
             if HL.own_digest() in seen:
                 continue
-            seen.update(HL.conjugacy_digests(orbit_budget=orbit_budget))
+            seen.update(HL.conjugacy_digests())
             nodes += 1
             if progress and nodes % 25 == 0:
                 progress(f"census: {nodes} nodes, {len(entries)} minimal, "
@@ -391,7 +386,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
             HM = _model_at(H, max(8, 2 * lvl))
             fq = HM.frattini_quotient(verify=False)
             if fq.rank == 2:
-                entries.append(_make_entry(HM, lvl, idx, fq, orbit_budget))
+                entries.append(_make_entry(HM, lvl, idx, fq))
                 continue
             if fq.rank < 2:
                 raise AssertionError("det-full 2-group with rank < 2")
@@ -402,7 +397,8 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if _hyperplane_det_class_span(mu, det_classes) != _FULL_CLASS_SPAN:
                     continue
                 child_elems = HM.elements[fq.hyperplane_mask(mu)]
-                if not _level_at_most(child_elems, HM.modulus, level_bound):
+                if (HM.modulus > level_bound
+                        and not _determined_mod(child_elems, HM.modulus, level_bound)):
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
                 child = OpenSubgroup(2, HM.modulus,
@@ -415,11 +411,10 @@ def census(level_bound: int = 64, index_bound: int = 96,
             raise
         raise CensusBudgetError(str(exc), entries, nodes) from exc
 
-    if reverify:
-        for e in entries:
-            rep = is_minimal(e.subgroup(), _recheck=False)
-            if not rep.verdict or rep.certifying_modulus != max(8, 2 * e.level):
-                raise AssertionError("census entry failed independent recheck")
+    for e in entries:
+        rep = is_minimal(e.subgroup(), _recheck=False)
+        if not rep.verdict or rep.certifying_modulus != max(8, 2 * e.level):
+            raise AssertionError("census entry failed independent recheck")
 
     if genus_filter is not None:
         entries = [e for e in entries if e.genus == genus_filter]
@@ -427,11 +422,11 @@ def census(level_bound: int = 64, index_bound: int = 96,
     return entries
 
 
-def _make_entry(HM: OpenSubgroup, lvl: int, idx: int, fq: FrattiniQuotient,
-                orbit_budget: int) -> CensusEntry:
+def _make_entry(HM: OpenSubgroup, lvl: int, idx: int,
+                fq: FrattiniQuotient) -> CensusEntry:
     gdata = genus(HM)
     HL = HM.reduce(lvl) if HM.modulus != lvl else HM
-    key = hashlib.sha256(HL.canonical_key(orbit_budget=orbit_budget)).hexdigest()
+    key = hashlib.sha256(HL.canonical_key()).hexdigest()
     gens = tuple(b.entries() for b in fq.basis)
     return CensusEntry(
         level=lvl,
@@ -442,51 +437,6 @@ def _make_entry(HM: OpenSubgroup, lvl: int, idx: int, fq: FrattiniQuotient,
         generators=gens,
         canonical_key=key,
         genus_data=gdata,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Random two-generator sampling
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoGeneratorSample:
-    """A seeded sample <A, B> with det A = 3, det B = 5 (mod 8)."""
-
-    subgroup: OpenSubgroup
-    report: MinimalityReport
-    seed: int
-    det3_element: tuple[int, int, int, int]
-    det5_element: tuple[int, int, int, int]
-
-
-def random_two_generator(H: OpenSubgroup, seed: int) -> TwoGeneratorSample:
-    """Draw A, B uniformly from H's mod-M elements with det 3 resp. 5 mod 8.
-
-    The returned subgroup is the closure of <A, B> at H's own modulus, i.e.
-    the open preimage it denotes there; the report is provisional when that
-    modulus cannot certify (level too deep to double).  When the verdict is
-    true it covers the closed group <A, B> as well: that closed group has
-    full determinant (3 and 5 generate the units), and a det-full closed
-    subgroup of a minimal group is the whole group.
-    """
-    dets = kernels.det_array(H.elements, H.modulus) % 8
-    pool3 = H.elements[dets == 3]
-    pool5 = H.elements[dets == 5]
-    if not len(pool3) or not len(pool5):
-        raise ValueError("H has no elements of det 3 or det 5 mod 8")
-    rng = np.random.default_rng(seed)
-    a = int(pool3[int(rng.integers(len(pool3)))])
-    b = int(pool5[int(rng.integers(len(pool5)))])
-    S = closure([kernels.unpack(a), kernels.unpack(b)], H.modulus,
-                element_budget=H.element_budget)
-    report = is_minimal(S, max_modulus=H.modulus, _recheck=False)
-    return TwoGeneratorSample(
-        subgroup=S,
-        report=report,
-        seed=seed,
-        det3_element=kernels.unpack(a),
-        det5_element=kernels.unpack(b),
     )
 
 
@@ -545,18 +495,16 @@ def verify_non_two_group_witness(progress: Optional[Callable[[str], None]] = Non
     orders = table.orders()
     y0 = int(np.nonzero(orders == 3)[0][0])
     classes = table.subgroup_classes(base_idx=[y0])
-    dets = table.det_residues() % 8
-    full = frozenset({1, 3, 5, 7})
     checked = 0
     for sub, _gens in classes:
         if len(sub) % 3:
             raise AssertionError("enumeration leaked a 2-group")
-        if frozenset(int(v) for v in np.unique(dets[sub])) != full:
+        if kernels.det_image(table.elements[sub], 8, 8) != UNIT_RESIDUES_MOD_8:
             continue
         syl = sylow_subgroup(table.elements[sub], 8, 2)
         if 3 * len(syl) != len(sub):
             raise AssertionError("Sylow 2-subgroup does not have index 3")
-        if frozenset(int(v) for v in np.unique(kernels.det_array(syl, 8))) != full:
+        if kernels.det_image(syl, 8, 8) != UNIT_RESIDUES_MOD_8:
             raise AssertionError("odd-index Sylow lost determinant fullness")
         checked += 1
         if progress and checked % 50 == 0:
@@ -617,14 +565,14 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
     if table.n != gl2_order(p):
         raise AssertionError("GL_2(F_p) table has wrong size")
     classes = table.subgroup_classes()
-    dets = table.det_residues() % p
+    dets = kernels.det_array(table.elements, p)
     full = frozenset(range(1, p))
     det_order_target = p * (p - 1)
     witnesses = []
     det_full = 0
     g0 = _primitive_root(p, p)
     for ci, (sub, _gens) in enumerate(classes):
-        if frozenset(int(v) for v in np.unique(dets[sub])) != full:
+        if kernels.det_image(table.elements[sub], p, p) != full:
             continue
         det_full += 1
         cand = sub[dets[sub] == g0 % p]
@@ -687,7 +635,7 @@ def nilpotent_lift_check(progress: Optional[Callable[[str], None]] = None) -> di
         lifted = base.lift(9)
         if lifted.is_nilpotent():
             nilpotent_count += 1
-            if lifted.det_image(3) != [1]:
+            if kernels.det_image(lifted.elements, 9, 3) != {1}:
                 raise AssertionError(
                     f"nilpotent lift with nontrivial det image, class {ci}")
         if progress and (ci + 1) % 20 == 0:

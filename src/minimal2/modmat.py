@@ -39,7 +39,9 @@ def _prime_power(m: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def gl2_order(m: int) -> int:
-    """|GL_2(Z/m)| for a prime power m = p^k."""
+    """|GL_2(Z/m)| for a prime power m = p^k, and 1 for the zero ring Z/1."""
+    if m == 1:
+        return 1
     p, k = _prime_power(m)
     return p ** (4 * (k - 1)) * (p * p - 1) * (p * p - p)
 
@@ -156,9 +158,6 @@ class ResidueMatrix:
         if self.modulus % m2 != 0:
             raise ValueError(f"{m2} does not divide modulus {self.modulus}")
         return ResidueMatrix(m2, self.a, self.b, self.c, self.d)
-
-    def __neg__(self) -> "ResidueMatrix":
-        return ResidueMatrix(self.modulus, -self.a, -self.b, -self.c, -self.d)
 
     def __repr__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]] mod {self.modulus}"

@@ -66,8 +66,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be positive")
         if self.genus_filter is not None and self.genus_filter < 0:
             raise ValueError("genus_filter must be nonnegative")
-        if self.level_bound & (self.level_bound - 1):
-            raise ValueError("level_bound must be a power of 2")
+        minimality.check_census_bounds(self.level_bound, self.index_bound)
         if self.prime not in (3, 5):
             raise ValueError("prime must be 3 or 5")
         if self.profile not in ("desk", "extended"):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .modmat import _prime_factors
+from .subgroups import ORBIT_BUDGET
 
 
 class FiniteGroupTable:
@@ -57,9 +59,6 @@ class FiniteGroupTable:
 
     # -- per-element data ----------------------------------------------------
 
-    def det_residues(self) -> np.ndarray:
-        return kernels.det_array(self.elements, self.modulus)
-
     def orders(self) -> np.ndarray:
         if self._orders is None:
             self._orders = kernels.order_array(self.elements, self.modulus)
@@ -67,19 +66,8 @@ class FiniteGroupTable:
 
     def prime_power_order_indices(self) -> np.ndarray:
         """Indices of elements of prime-power order (identity excluded)."""
-        orders = self.orders()
-        keep = np.zeros(self.n, dtype=bool)
-        for i, o in enumerate(orders):
-            o = int(o)
-            if o == 1:
-                continue
-            p = 2
-            while o % p:
-                p += 1
-            while o % p == 0:
-                o //= p
-            keep[i] = o == 1
-        return np.nonzero(keep)[0]
+        return np.flatnonzero([len(_prime_factors(int(o))) == 1
+                               for o in self.orders()])
 
     # -- subgroups -------------------------------------------------------------
 
@@ -97,11 +85,6 @@ class FiniteGroupTable:
             frontier = fresh
         return np.nonzero(known)[0].astype(np.int32)
 
-    def subgroup_det_image(self, idx: np.ndarray, m: int | None = None) -> frozenset[int]:
-        m = m or self.modulus
-        return frozenset(int(v) % m for v in
-                         np.unique(self.det_residues()[idx]))
-
     def conj_permutations(self) -> list[np.ndarray]:
         """Conjugation permutations x -> g x g^-1 for the table's generators."""
         if self._conj_perms is None:
@@ -114,8 +97,7 @@ class FiniteGroupTable:
             self._conj_perms = perms
         return self._conj_perms
 
-    def canonical_subgroup_key(self, idx: np.ndarray,
-                               orbit_budget: int = 8192) -> bytes:
+    def canonical_subgroup_key(self, idx: np.ndarray) -> bytes:
         """Minimal sorted index tuple over the full conjugation orbit."""
         perms = self.conj_permutations()
         start = np.sort(np.asarray(idx, dtype=np.int32))
@@ -128,7 +110,7 @@ class FiniteGroupTable:
                 t = np.sort(perm[s]).astype(np.int32)
                 kb = t.tobytes()
                 if kb not in seen:
-                    if len(seen) >= orbit_budget:
+                    if len(seen) >= ORBIT_BUDGET:
                         raise kernels.BudgetExceeded("subgroup orbit too large")
                     seen.add(kb)
                     frontier.append(t)
@@ -136,7 +118,7 @@ class FiniteGroupTable:
                         best = kb
         return best
 
-    def subgroup_classes(self, base_idx=None, verbose=False):
+    def subgroup_classes(self, base_idx=None):
         """Conjugacy-class representatives of all subgroups containing
         <base_idx> (all subgroups when base_idx is None).
 
@@ -167,6 +149,4 @@ class FiniteGroupTable:
                     continue
                 seen_keys.add(key)
                 out.append((ext, gens + [int(x)]))
-            if verbose and head % 50 == 0:
-                print(f"  subgroup scan: {head}/{len(out)} classes expanded")
         return out

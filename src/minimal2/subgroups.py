@@ -3,8 +3,8 @@
 An OpenSubgroup stores generators mod p^k and stands for the full preimage of
 the generated group in GL_2(Z_p).  Element sets are frozen sorted arrays of
 packed matrices; membership is binary search.  Level, index, determinant
-image, Frattini quotient, index-2 subgroups, nilpotency and a conjugacy
-canonical key are all computed from the element set.
+surjectivity, Frattini quotient, index-2 subgroups, nilpotency and a
+conjugacy canonical key are all computed from the element set.
 
 The Frattini machinery applies to 2-group images, the only case the search
 needs.  For a finite 2-group Phi(H) = <x^2 : x in H>, since every commutator
@@ -29,7 +29,9 @@ from . import kernels
 from .modmat import ResidueMatrix, _prime_factors, _prime_power, gl2_order
 
 DEFAULT_ELEMENT_BUDGET = 1 << 25
-DEFAULT_ORBIT_BUDGET = 4096
+# An orbit is never larger than the index, so this binds only on groups of
+# index above 4096.
+ORBIT_BUDGET = 4096
 
 UNIT_RESIDUES_MOD_8 = frozenset((1, 3, 5, 7))
 
@@ -71,9 +73,6 @@ class FrattiniQuotient:
             raise ValueError("element not in the subgroup")
         v = int(self._coords[i])
         return tuple((v >> j) & 1 for j in range(self.rank))
-
-    def coords_array(self) -> np.ndarray:
-        return self._coords
 
     def phi_elements(self) -> np.ndarray:
         """Element set of Phi(H) itself (the zero-coordinate fiber)."""
@@ -120,6 +119,17 @@ def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
         labelled[dst] = True
         basis.append(b)
     return basis, coords
+
+
+def _determined_mod(elements: np.ndarray, modulus: int, n: int) -> bool:
+    """Whether the group with these mod-``modulus`` elements is the full
+    preimage of its image mod n (n | modulus):
+    |H| = |H mod n| * |ker(GL_2(Z/modulus) -> GL_2(Z/n))|."""
+    kernel = gl2_order(modulus) // gl2_order(n)
+    if len(elements) % kernel:
+        return False
+    image = np.unique(kernels.reduce_array(elements, n))
+    return len(image) * kernel == len(elements)
 
 
 def _f2_rank(vectors) -> int:
@@ -204,20 +214,11 @@ class OpenSubgroup:
         """Smallest p^j such that the group is the preimage of its mod-p^j image."""
         if self._level is not None:
             return self._level
-        p = self.prime
         _, k = _prime_power(self.modulus)
-        n = self.order()
-        for j in range(0, k + 1):
-            nj = p ** j
-            if nj == 1:
-                determined = n == gl2_order(self.modulus)
-            else:
-                reduced = np.unique(
-                    kernels.reduce_array(self.elements, nj))
-                determined = len(reduced) * p ** (4 * (k - j)) == n
-            if determined:
-                self._level = nj
-                return nj
+        for j in range(k + 1):
+            if _determined_mod(self.elements, self.modulus, self.prime ** j):
+                self._level = self.prime ** j
+                return self._level
         raise AssertionError("unreachable: the level divides the modulus")
 
     def reduce(self, m2: int) -> "OpenSubgroup":
@@ -256,29 +257,7 @@ class OpenSubgroup:
         return OpenSubgroup(self.prime, m2, gens + kernel_gens,
                             _elements=elems, element_budget=self.element_budget)
 
-    # -- determinant image ------------------------------------------------------
-
-    def det_image(self, m: int) -> list[int]:
-        if self.modulus % m != 0:
-            raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        dets = kernels.det_array(self.elements, self.modulus) % m
-        return sorted(int(d) for d in np.unique(dets))
-
-    def det_image_from_generators(self, m: int) -> frozenset[int]:
-        """Subgroup of (Z/m)^x generated by generator determinants; cheap."""
-        if self.modulus % m != 0:
-            raise ValueError(f"{m} does not divide modulus {self.modulus}")
-        gen_dets = {g.det() % m for g in self.generators}
-        seen = {1}
-        frontier = [1]
-        while frontier:
-            x = frontier.pop()
-            for d in gen_dets:
-                y = x * d % m
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return frozenset(seen)
+    # -- determinant ------------------------------------------------------------
 
     def det_surjective_2adic(self) -> bool:
         """True iff det of the full preimage is all of Z_2^x.
@@ -292,7 +271,7 @@ class OpenSubgroup:
             raise ValueError("the 2-adic determinant test needs p = 2")
         if self.modulus < 8:
             raise ValueError("modulus must be at least 8")
-        return self.det_image_from_generators(8) == UNIT_RESIDUES_MOD_8
+        return kernels.det_image(self.elements, self.modulus, 8) == UNIT_RESIDUES_MOD_8
 
     # -- Frattini quotient and maximal subgroups ---------------------------------
 
@@ -403,23 +382,12 @@ class OpenSubgroup:
             layer_gens = ([int(v) for v in nxt] if len(nxt) <= 128 else
                           _greedy_generators(nxt, m, self.element_budget)[0])
 
-    def sylow_decomposition_nilpotent(self) -> bool:
-        """Cross-check criterion: nilpotent iff every Sylow subgroup is normal."""
-        m = self.modulus
-        for q in _prime_factors(self.order()):
-            syl = sylow_subgroup(self.elements, m, q, self.element_budget)
-            for g in self.generators:
-                conj = kernels.conjugate_set(syl, g.packed(), m)
-                if not np.array_equal(conj, syl):
-                    return False
-        return True
-
     # -- conjugacy -------------------------------------------------------------------
 
-    def canonical_key(self, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> bytes:
+    def canonical_key(self) -> bytes:
         """Lexicographically minimal packed-element list over the ambient
         conjugation orbit, as big-endian uint32 bytes."""
-        return min(self._conjugation_orbit(orbit_budget))
+        return min(self._conjugation_orbit())
 
     def own_digest(self) -> bytes:
         """sha256 of (level | index | element bytes); conjugates of this
@@ -427,13 +395,13 @@ class OpenSubgroup:
         prefix = f"{self.level()}|{self.index_in_ambient()}|".encode()
         return hashlib.sha256(prefix + self.elements.astype(">u4").tobytes()).digest()
 
-    def conjugacy_digests(self, orbit_budget: int = DEFAULT_ORBIT_BUDGET) -> set[bytes]:
+    def conjugacy_digests(self) -> set[bytes]:
         """own_digest of every member of the conjugation orbit."""
         prefix = f"{self.level()}|{self.index_in_ambient()}|".encode()
         return {hashlib.sha256(prefix + kb).digest()
-                for kb in self._conjugation_orbit(orbit_budget)}
+                for kb in self._conjugation_orbit()}
 
-    def _conjugation_orbit(self, orbit_budget: int) -> set[bytes]:
+    def _conjugation_orbit(self) -> set[bytes]:
         m = self.modulus
         amb = ambient_generators(self.prime, m)
         start = self.elements
@@ -445,9 +413,9 @@ class OpenSubgroup:
                 conj = kernels.conjugate_set(xs, g, m)
                 kb = conj.astype(">u4").tobytes()
                 if kb not in orbit:
-                    if len(orbit) >= orbit_budget:
+                    if len(orbit) >= ORBIT_BUDGET:
                         raise kernels.BudgetExceeded(
-                            f"conjugation orbit exceeds {orbit_budget}")
+                            f"conjugation orbit exceeds {ORBIT_BUDGET}")
                     orbit.add(kb)
                     frontier.append(conj)
         return orbit
@@ -487,13 +455,10 @@ class OpenSubgroup:
                 f"{len(self.generators)} gens)")
 
 
-def closure(gens, modulus: int, prime: int | None = None,
-            element_budget: int = DEFAULT_ELEMENT_BUDGET) -> OpenSubgroup:
+def closure(gens, modulus: int) -> OpenSubgroup:
     """Subgroup generated by gens at the given prime-power modulus."""
     p, _ = _prime_power(modulus)
-    if prime is not None and prime != p:
-        raise ValueError("prime/modulus mismatch")
-    H = OpenSubgroup(p, modulus, gens, element_budget=element_budget)
+    H = OpenSubgroup(p, modulus, gens)
     H.elements  # force now so budget errors surface eagerly
     return H
 

@@ -1,6 +1,7 @@
 """Exact curve arithmetic, quadratic fields, and the family table."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,8 @@ from minimal2.ellcurve import (
     QuadFieldElem,
     SingularCurveError,
     WeierstrassCurve,
-    conic_points,
+    _random_base_point,
+    _sqrt_mod_prime,
     eval_poly,
     family_identity_check,
     load_family_specs,
@@ -203,31 +205,41 @@ class TestWeierstrassCurve:
 
 
 class TestConicPoints:
-    def test_first_points(self):
-        assert conic_points(5, 1)[0] == (2, 0)
-        assert conic_points(13, 1)[0] == (5, 0)
+    """Base points of conic families: a^2 + b^2 = -1 over F_p."""
+
+    CONIC = FamilySpec("8.24.0.44", "conic", "a", "b")
+
+    def draw(self, p, count, seed=0):
+        rng = random.Random(seed)
+        points = [_random_base_point(self.CONIC, p, rng) for _ in range(count)]
+        return [(pt["a"].value, pt["b"].value) for pt in points]
 
     def test_points_satisfy_equation(self):
-        for p in (13, 17, 401, 409):
-            pts = conic_points(p, 8)
-            assert len(pts) == 8
-            for a, b in pts:
+        # 401 = 1 mod 4 runs the Tonelli-Shanks loop, 419 = 3 mod 4 the shortcut
+        for p in (401, 419):
+            for a, b in self.draw(p, 200):
                 assert (a * a + b * b + 1) % p == 0
 
+    def test_sqrt_is_a_root_or_none_on_non_residues(self):
+        for p in (401, 419):
+            squares = {x * x % p for x in range(p)}
+            for n in range(p):
+                r = _sqrt_mod_prime(n, p)
+                if n in squares:
+                    assert r is not None and r * r % p == n
+                else:
+                    assert r is None
+
     def test_distinct_and_deterministic(self):
-        pts = conic_points(401, 12)
-        assert len(set(pts)) == 12
-        assert pts == conic_points(401, 12)
+        pts = self.draw(401, 12, seed=5)
+        assert pts == self.draw(401, 12, seed=5)
+        assert len(set(pts)) > 1
 
     def test_small_prime_exhaustion(self):
-        # the conic over F_5 has exactly four points; asking for more
-        # returns them all
-        pts = conic_points(5, 100)
+        # the conic over F_5 has exactly four points, and both roots of
+        # a^2 = -1 - b^2 are drawn
+        pts = set(self.draw(5, 200))
         assert sorted(pts) == [(0, 2), (0, 3), (2, 0), (3, 0)]
-
-    def test_rejects_p_equal_2(self):
-        with pytest.raises(ValueError):
-            conic_points(2, 1)
 
 
 class TestEvalPoly:

@@ -52,7 +52,8 @@ class TestScalarOps:
 
     def test_reduce_and_neg(self):
         x = kernels.pack(5, 6, 7, 1)
-        assert kernels.unpack(kernels.reduce_packed(x, 2)) == (1, 0, 1, 1)
+        reduced = kernels.reduce_array(np.array([x], dtype=np.int64), 2)
+        assert kernels.unpack(int(reduced[0])) == (1, 0, 1, 1)
         assert kernels.unpack(kernels.neg(x, 8)) == (3, 2, 1, 7)
 
 

@@ -1,6 +1,5 @@
 """Minimality verdicts, the census, and the supporting sweeps."""
 
-import numpy as np
 import pytest
 
 from minimal2 import kernels, minimality
@@ -8,7 +7,6 @@ from minimal2.minimality import (
     CensusBudgetError,
     is_minimal,
     maximal_determinant_images,
-    random_two_generator,
     sylow_pro2_subgroup,
 )
 from minimal2.subgroups import OpenSubgroup, ambient_generators, closure
@@ -164,47 +162,6 @@ class TestCensus:
             minimality.census(8, 96, element_budget=1000)
         assert isinstance(exc.value, kernels.BudgetExceeded)
         assert exc.value.partial_entries == []
-
-
-class TestRandomTwoGenerator:
-    def test_seeded_and_deterministic(self):
-        H = full_group(8)
-        s0 = random_two_generator(H, seed=11)
-        s1 = random_two_generator(H, seed=11)
-        assert s0.det3_element == s1.det3_element
-        assert s0.det5_element == s1.det5_element
-        assert np.array_equal(s0.subgroup.elements, s1.subgroup.elements)
-
-    def test_det_constraints(self):
-        H = full_group(8)
-        for seed in range(6):
-            s = random_two_generator(H, seed=seed)
-            a = kernels.pack(*s.det3_element)
-            b = kernels.pack(*s.det5_element)
-            assert kernels.det(a, 8) == 3
-            assert kernels.det(b, 8) == 5
-            assert s.report.certifying_modulus <= 8
-
-    def test_repeated_sampling_finds_rank_two_subgroups(self):
-        # seeds 10, 11, 13 are the first hits in the deterministic sweep;
-        # most other seeds close onto groups with odd-order elements
-        H = full_group(32)
-        flags = {}
-        for seed in (10, 11, 13):
-            s = random_two_generator(H, seed=seed)
-            assert s.report.verdict is True
-            assert s.report.is_two_group is True
-            assert s.report.det_surjective is True
-            assert s.report.frattini_rank == 2
-            assert s.report.certifying_modulus <= 32
-            flags[seed] = s.report.provisional
-        # seed 10 closes onto a shallow group certified outright; the other
-        # two have level 32 and get the capped, flagged certificate
-        assert flags == {10: False, 11: True, 13: True}
-
-    def test_rejects_group_without_det35(self):
-        with pytest.raises(ValueError):
-            random_two_generator(closure([(1, 1, 0, 1)], 8), seed=0)
 
 
 class TestSupportingSweeps:

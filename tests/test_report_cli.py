@@ -213,6 +213,14 @@ class TestCli:
         assert cli.main(["census", "--level-bound", "12"]) == 2
         assert cli.main(["falsify", "--prime", "7"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--level-bound", "256", "level_bound above 128 is out of scope"),
+        ("--index-bound", "2", "index_bound below the Sylow index finds nothing"),
+    ])
+    def test_census_bounds_out_of_scope_exit_2(self, capsys, flag, value, message):
+        assert cli.main(["census", "--quiet", flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_csv_flag_only_on_census(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(["quadfamily", "--quiet",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from minimal2 import kernels
+from minimal2.minimality import SYLOW_PRO2_GENERATORS
 from minimal2.smallgroups import FiniteGroupTable
 from minimal2.subgroups import ambient_generators, sylow_subgroup
 
@@ -58,12 +59,25 @@ class TestSubgroupMachinery:
         assert len(got) == 48
 
     def test_det_image_of_sl2(self, gl2_f3):
-        dets = gl2_f3.det_residues()
-        sl2 = np.nonzero(dets == 1)[0].astype(np.int32)
+        elems = gl2_f3.elements
+        sl2 = elems[kernels.det_array(elems, 3) == 1]
         assert len(sl2) == 24
-        assert gl2_f3.subgroup_det_image(sl2) == frozenset({1})
-        assert gl2_f3.subgroup_det_image(np.arange(48, dtype=np.int32)) == \
-            frozenset({1, 2})
+        assert kernels.det_image(sl2, 3, 3) == frozenset({1})
+        assert kernels.det_image(elems, 3, 3) == frozenset({1, 2})
+
+    @pytest.mark.parametrize("gens", [
+        ambient_generators(2, 8),
+        [kernels.pack(*g) for g in SYLOW_PRO2_GENERATORS],
+    ], ids=["gl2_mod8", "sylow_mod8"])
+    def test_det_image_matches_brute_force(self, gens):
+        elems = kernels.closure(gens, 8)
+        assert len(elems) in (1536, 512)
+        for m in (2, 4, 8):
+            want = set()
+            for x in elems:
+                a, b, c, d = kernels.unpack(int(x))
+                want.add((a * d - b * c) % m)
+            assert kernels.det_image(elems, 8, m) == want
 
     def test_canonical_key_invariant_under_conjugation(self, gl2_f3):
         t = gl2_f3
