@@ -7,6 +7,14 @@ breadth-first closure run over flat arrays.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
 each generator at once, and conjugation maps a whole element set at once.
+Bulk arithmetic unpacks the entries to int32 and reduces with a bit mask
+when m is a power of 2, with % otherwise.
+
+Set operations are sort-based: ``unique`` sorts and keeps each value that
+differs from the one before it, and membership is ``in_sorted``, a binary
+search.  numpy 2's ``np.unique`` (which ``np.union1d`` calls) builds a hash
+table for these int64 arrays and is about ten times slower on a few
+thousand values.
 """
 
 from __future__ import annotations
@@ -73,74 +81,76 @@ def neg(x: int, m: int) -> int:
 
 
 def unpack_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    return xs & 255, (xs >> 8) & 255, (xs >> 16) & 255, (xs >> 24) & 255
+    """Entry arrays (a, b, c, d) as int32.  Entries are below 256, so every
+    product and every sum or difference of two products fits."""
+    # the cast to uint32 keeps the low 32 bits; read as int32, d >= 128 makes
+    # the value negative, and the masks drop the sign bits a shift brings in
+    u = np.asarray(xs).astype(np.uint32).view(np.int32)
+    return u & 255, (u >> 8) & 255, (u >> 16) & 255, (u >> 24) & 255
 
 
 def pack_array(a, b, c, d) -> np.ndarray:
-    return a | (b << 8) | (c << 16) | (d << 24)
+    """Packed int64 array from entry arrays with values in 0..255."""
+    # d << 24 sets the sign bit of an int32 when d >= 128; the cast to
+    # uint32 reads the same bits back as a non-negative value.
+    return (a | (b << 8) | (c << 16) | (d << 24)).astype(np.uint32).astype(np.int64)
+
+
+def _mod(v: np.ndarray, m: int) -> np.ndarray:
+    """v mod m: a mask when m is a power of 2, % otherwise."""
+    return v & (m - 1) if m & (m - 1) == 0 else v % m
+
+
+def _mul_entries(x, y, m: int):
+    """Entries of the product x @ y mod m, from entry tuples (arrays or ints)."""
+    ax, bx, cx, dx = x
+    ay, by, cy, dy = y
+    return (
+        _mod(ax * ay + bx * cy, m),
+        _mod(ax * by + bx * dy, m),
+        _mod(cx * ay + dx * cy, m),
+        _mod(cx * by + dx * dy, m),
+    )
 
 
 def mul_array_scalar(xs: np.ndarray, y: int, m: int, right: bool = True) -> np.ndarray:
     """Elementwise xs @ y (right=True) or y @ xs (right=False), packed."""
-    ax, bx, cx, dx = unpack_array(xs)
-    ay, by, cy, dy = unpack(y)
     if right:
-        return pack_array(
-            (ax * ay + bx * cy) % m,
-            (ax * by + bx * dy) % m,
-            (cx * ay + dx * cy) % m,
-            (cx * by + dx * dy) % m,
-        )
-    return pack_array(
-        (ay * ax + by * cx) % m,
-        (ay * bx + by * dx) % m,
-        (cy * ax + dy * cx) % m,
-        (cy * bx + dy * dx) % m,
-    )
+        return pack_array(*_mul_entries(unpack_array(xs), unpack(y), m))
+    return pack_array(*_mul_entries(unpack(y), unpack_array(xs), m))
 
 
 def mul_arrays(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:
     """Elementwise packed products xs[i] @ ys[i]."""
-    ax, bx, cx, dx = unpack_array(xs)
-    ay, by, cy, dy = unpack_array(ys)
-    return pack_array(
-        (ax * ay + bx * cy) % m,
-        (ax * by + bx * dy) % m,
-        (cx * ay + dx * cy) % m,
-        (cx * by + dx * dy) % m,
-    )
+    return pack_array(*_mul_entries(unpack_array(xs), unpack_array(ys), m))
 
 
 def det_array(xs: np.ndarray, m: int) -> np.ndarray:
     a, b, c, d = unpack_array(xs)
-    return (a * d - b * c) % m
+    return _mod(a * d - b * c, m)
 
 
 def det_image(xs: np.ndarray, m: int, n: int) -> frozenset[int]:
     """The determinants mod n (n | m) of the packed matrices mod m."""
     if m % n:
         raise ValueError(f"{n} does not divide modulus {m}")
-    return frozenset(int(v) for v in np.unique(det_array(xs, m) % n))
+    return frozenset(int(v) for v in unique(_mod(det_array(xs, m), n)))
 
 
 def reduce_array(xs: np.ndarray, m2: int) -> np.ndarray:
-    a, b, c, d = unpack_array(xs)
-    return pack_array(a % m2, b % m2, c % m2, d % m2)
+    if m2 & (m2 - 1) == 0:
+        # every 8-bit field masked at once
+        return xs & ((m2 - 1) * 0x01010101)
+    return pack_array(*(v % m2 for v in unpack_array(xs)))
 
 
 def neg_array(xs: np.ndarray, m: int) -> np.ndarray:
-    a, b, c, d = unpack_array(xs)
-    return pack_array((-a) % m, (-b) % m, (-c) % m, (-d) % m)
+    return pack_array(*(_mod(-v, m) for v in unpack_array(xs)))
 
 
 def square_array(xs: np.ndarray, m: int) -> np.ndarray:
-    a, b, c, d = unpack_array(xs)
-    return pack_array(
-        (a * a + b * c) % m,
-        (a * b + b * d) % m,
-        (c * a + d * c) % m,
-        (c * b + d * d) % m,
-    )
+    x = unpack_array(xs)
+    return pack_array(*_mul_entries(x, x, m))
 
 
 def order_array(xs: np.ndarray, m: int) -> np.ndarray:
@@ -163,19 +173,18 @@ def order_array(xs: np.ndarray, m: int) -> np.ndarray:
 
 def inv_array(xs: np.ndarray, m: int) -> np.ndarray:
     """Packed inverses of an array of invertible packed matrices."""
-    table = unit_inverse_table(m)
     a, b, c, d = unpack_array(xs)
-    dt = (a * d - b * c) % m
-    di = table[dt]
+    di = unit_inverse_table(m)[_mod(a * d - b * c, m)]
     if np.any(di < 0):
         raise ValueError(f"array contains a matrix not invertible mod {m}")
-    return pack_array((d * di) % m, (-b * di) % m, (-c * di) % m, (a * di) % m)
+    return pack_array(_mod(d * di, m), _mod(-b * di, m), _mod(-c * di, m),
+                      _mod(a * di, m))
 
 
 def conj_array(xs: np.ndarray, g: int, m: int) -> np.ndarray:
     """g @ x @ g^-1 for every packed x; result is not sorted."""
-    gi = inv(g, m)
-    return mul_array_scalar(mul_array_scalar(xs, gi, m, right=True), g, m, right=False)
+    x_gi = _mul_entries(unpack_array(xs), unpack(inv(g, m)), m)
+    return pack_array(*_mul_entries(unpack(g), x_gi, m))
 
 
 _INV_TABLES: dict[int, np.ndarray] = {}
@@ -185,7 +194,7 @@ def unit_inverse_table(m: int) -> np.ndarray:
     """table[u] = u^-1 mod m for units, -1 for non-units."""
     tab = _INV_TABLES.get(m)
     if tab is None:
-        tab = np.full(m, -1, dtype=np.int64)
+        tab = np.full(m, -1, dtype=np.int32)
         for u in range(m):
             try:
                 tab[u] = pow(u, -1, m)
@@ -214,6 +223,15 @@ def lift_array(xs: np.ndarray, m: int, m2: int) -> np.ndarray:
     out = (xs[:, None] + offs[None, :]).ravel()
     out.sort()
     return out
+
+
+def unique(xs: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of xs."""
+    s = np.sort(xs)
+    keep = np.empty(s.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def contains(sorted_set: np.ndarray, x: int) -> bool:
@@ -249,17 +267,19 @@ def closure(gens, m: int, cap: int = 1 << 27, seeds=None) -> np.ndarray:
     gens = sorted({int(g) for g in gens} - {IDENTITY})
     known = np.array([IDENTITY], dtype=np.int64)
     if seeds is not None:
-        known = np.union1d(np.asarray(seeds, dtype=np.int64), known)
+        known = unique(np.append(np.asarray(seeds, dtype=np.int64), IDENTITY))
     frontier = known
+    # generator entries as columns: one product covers every generator
+    g = [np.array(col, dtype=np.int32)[:, None] for col in zip(*map(unpack, gens))]
     while gens:
-        cand = np.unique(np.concatenate(
-            [mul_array_scalar(frontier, g, m) for g in gens]))
+        cand = unique(pack_array(*_mul_entries(unpack_array(frontier), g, m)).ravel())
         fresh = cand[~in_sorted(cand, known)]
         if fresh.size == 0:
             break
         if known.size + fresh.size > cap:
             raise BudgetExceeded(f"closure exceeded budget of {cap} elements (mod {m})")
-        known = np.union1d(known, fresh)
+        # two sorted runs of distinct values: a stable sort merges them
+        known = np.sort(np.concatenate([known, fresh]), kind="stable")
         frontier = fresh
     return known
 

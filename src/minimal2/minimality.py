@@ -45,9 +45,9 @@ from .subgroups import (
     FrattiniQuotient,
     OpenSubgroup,
     UNIT_RESIDUES_MOD_8,
-    _determined_mod,
     _greedy_generators,
     _is_primitive_root,
+    _level_and_image,
     _primitive_root,
     ambient_generators,
     schreier_generators,
@@ -175,7 +175,7 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
     grew = True
     while grew:
         grew = False
-        outside = elems[~np.isin(elems, current, assume_unique=True)]
+        outside = elems[~kernels.in_sorted(elems, current)]
         for x in outside:
             cand = kernels.closure(gens + [int(x)], HM.modulus)
             if len(cand) < len(elems):
@@ -360,22 +360,27 @@ def census(level_bound: int = 64, index_bound: int = 96,
     det-full, level-bounded, index-bounded hyperplane children.  Conjugate
     duplicates are cut by canonical-key digests at the level modulus.  Every
     entry is re-certified by ``is_minimal`` before it is returned.
+
+    Each candidate child is reduced once: its level search starts at the
+    parent's level and keeps the image mod the level, which both prunes by
+    the level bound and gives the level model whose digest is tested
+    against ``seen`` before the child is built.  The stack carries
+    (digest, level model, group); a child that became a duplicate while it
+    waited is skipped when popped.
     """
     check_census_bounds(level_bound, index_bound)
 
     entries: list[CensusEntry] = []
-    seen: set[str] = set()
+    seen: set[bytes] = set()
     nodes = 0
-    stack = [sylow_pro2_subgroup(element_budget)]
+    syl = sylow_pro2_subgroup(element_budget)
+    root = _level_model(*_level_and_image(syl.elements, syl.modulus, 2))
+    stack = [(root.own_digest(), root, syl)]
 
     try:
         while stack:
-            H = stack.pop()
-            lvl = H.level()
-            idx = H.index_in_ambient()
-            HL = H.reduce(lvl)
-            HL._level = lvl
-            if HL.own_digest() in seen:
+            digest, HL, H = stack.pop()
+            if digest in seen:
                 continue
             seen.update(HL.conjugacy_digests())
             nodes += 1
@@ -383,10 +388,11 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 progress(f"census: {nodes} nodes, {len(entries)} minimal, "
                          f"stack {len(stack)}")
 
+            lvl, idx = HL.modulus, H.index_in_ambient()
             HM = _model_at(H, max(8, 2 * lvl))
             fq = HM.frattini_quotient(verify=False)
             if fq.rank == 2:
-                entries.append(_make_entry(HM, lvl, idx, fq))
+                entries.append(_make_entry(HM, HL, idx, fq))
                 continue
             if fq.rank < 2:
                 raise AssertionError("det-full 2-group with rank < 2")
@@ -397,15 +403,21 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if _hyperplane_det_class_span(mu, det_classes) != _FULL_CLASS_SPAN:
                     continue
                 child_elems = HM.elements[fq.hyperplane_mask(mu)]
-                if (HM.modulus > level_bound
-                        and not _determined_mod(child_elems, HM.modulus, level_bound)):
+                found = _level_and_image(child_elems, HM.modulus, 2, lvl,
+                                         min(HM.modulus, level_bound))
+                if found is None:  # level above the bound
+                    continue
+                CL = _level_model(*found)
+                child_digest = CL.own_digest()
+                if child_digest in seen:
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
                 child = OpenSubgroup(2, HM.modulus,
                                      [kernels.unpack(g) for g in gens],
                                      _elements=child_elems,
                                      element_budget=element_budget)
-                stack.append(child)
+                child._level = CL.modulus
+                stack.append((child_digest, CL, child))
     except kernels.BudgetExceeded as exc:
         if isinstance(exc, CensusBudgetError):
             raise
@@ -422,14 +434,22 @@ def census(level_bound: int = 64, index_bound: int = 96,
     return entries
 
 
-def _make_entry(HM: OpenSubgroup, lvl: int, idx: int,
+def _level_model(lvl: int, image: np.ndarray) -> OpenSubgroup:
+    """The group's image mod its level, as an element set only: enough for
+    the digests and the canonical key, which read level, index and
+    elements."""
+    HL = OpenSubgroup(2, lvl, [], _elements=image)
+    HL._level = lvl
+    return HL
+
+
+def _make_entry(HM: OpenSubgroup, HL: OpenSubgroup, idx: int,
                 fq: FrattiniQuotient) -> CensusEntry:
     gdata = genus(HM)
-    HL = HM.reduce(lvl) if HM.modulus != lvl else HM
     key = hashlib.sha256(HL.canonical_key()).hexdigest()
     gens = tuple(b.entries() for b in fq.basis)
     return CensusEntry(
-        level=lvl,
+        level=HL.modulus,
         index=idx,
         genus=gdata.genus,
         contains_minus_I=HM.contains_minus_identity(),

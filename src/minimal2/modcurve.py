@@ -71,7 +71,7 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
         return G
     m = G.modulus
     minus = ResidueMatrix(m, -1, 0, 0, -1)
-    elems = np.unique(
+    elems = kernels.unique(
         np.concatenate([G.elements, kernels.neg_array(G.elements, m)]))
     return OpenSubgroup(G.prime, m, list(G.generators) + [minus],
                         _elements=elems, element_budget=G.element_budget)

@@ -79,7 +79,7 @@ class FiniteGroupTable:
         frontier = np.array(gen_idx, dtype=np.int64)
         while len(frontier):
             prods = self.table[np.ix_(frontier, gen_idx)].ravel()
-            prods = np.unique(prods)
+            prods = kernels.unique(prods)
             fresh = prods[~known[prods]]
             known[fresh] = True
             frontier = fresh

@@ -103,7 +103,7 @@ def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
     and right multiplication by it labels the next coset layer.  Returns
     (packed basis elements, uint32 coordinate array).
     """
-    squares = np.unique(kernels.square_array(elements, modulus))
+    squares = kernels.unique(kernels.square_array(elements, modulus))
     _, phi = _greedy_generators(squares, modulus, budget)
     labelled = np.zeros(len(elements), dtype=bool)
     labelled[_positions(elements, phi, "Phi(H) is not inside the element set")] = True
@@ -121,15 +121,29 @@ def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
     return basis, coords
 
 
-def _determined_mod(elements: np.ndarray, modulus: int, n: int) -> bool:
-    """Whether the group with these mod-``modulus`` elements is the full
-    preimage of its image mod n (n | modulus):
-    |H| = |H mod n| * |ker(GL_2(Z/modulus) -> GL_2(Z/n))|."""
-    kernel = gl2_order(modulus) // gl2_order(n)
-    if len(elements) % kernel:
-        return False
-    image = np.unique(kernels.reduce_array(elements, n))
-    return len(image) * kernel == len(elements)
+def _level_and_image(elements: np.ndarray, modulus: int, prime: int,
+                     start: int = 1, stop: int | None = None):
+    """(level, sorted image mod level) of the group with these
+    mod-``modulus`` elements, trying n = start, start*p, ... up to stop
+    (default: modulus).  The group is the full preimage of its image mod n
+    exactly when |H| = |H mod n| * |ker(GL_2(Z/modulus) -> GL_2(Z/n))|.
+
+    start must divide the level: a subgroup's level is a multiple of the
+    level of any group containing it, so a parent's level is a valid start
+    for its children.  Returns None when the level is above stop.
+    """
+    n = start
+    stop = modulus if stop is None else stop
+    while n <= stop:
+        if n == modulus:
+            return n, elements
+        kernel = gl2_order(modulus) // gl2_order(n)
+        if len(elements) % kernel == 0:
+            image = kernels.unique(kernels.reduce_array(elements, n))
+            if len(image) * kernel == len(elements):
+                return n, image
+        n *= prime
+    return None
 
 
 def _f2_rank(vectors) -> int:
@@ -212,14 +226,10 @@ class OpenSubgroup:
 
     def level(self) -> int:
         """Smallest p^j such that the group is the preimage of its mod-p^j image."""
-        if self._level is not None:
-            return self._level
-        _, k = _prime_power(self.modulus)
-        for j in range(k + 1):
-            if _determined_mod(self.elements, self.modulus, self.prime ** j):
-                self._level = self.prime ** j
-                return self._level
-        raise AssertionError("unreachable: the level divides the modulus")
+        if self._level is None:
+            self._level, _ = _level_and_image(self.elements, self.modulus,
+                                             self.prime)
+        return self._level
 
     def reduce(self, m2: int) -> "OpenSubgroup":
         """Image mod m2.  Denotes the same open group only when level | m2."""
@@ -227,7 +237,7 @@ class OpenSubgroup:
             raise ValueError(f"{m2} does not divide modulus {self.modulus}")
         elems = None
         if self._elements is not None:
-            elems = np.unique(kernels.reduce_array(self._elements, m2))
+            elems = kernels.unique(kernels.reduce_array(self._elements, m2))
         return OpenSubgroup(
             self.prime, m2, [g.reduce(m2) for g in self.generators],
             _elements=elems, element_budget=self.element_budget)
@@ -308,19 +318,22 @@ class OpenSubgroup:
         """Exhaustive sweep: all squares and all generator commutators have
         zero coordinates, and coordinates are multiplicative on every edge."""
         elements, coords, m = self.elements, fq._coords, self.modulus
-        pos = np.searchsorted(elements, kernels.square_array(elements, m))
-        if not (coords[pos] == 0).all():
+
+        def coords_of(xs, what):
+            return coords[_positions(elements, xs, f"{what} outside the element set")]
+
+        if not (coords_of(kernels.square_array(elements, m), "a square") == 0).all():
             raise AssertionError("a square has nonzero Frattini coordinates")
         xinv = kernels.inv_array(elements, m)
         for g in self.generators:
             gp = g.packed()
-            gc = coords[int(np.searchsorted(elements, gp))]
+            gc = coords_of(np.array([gp], dtype=np.int64), "a generator")[0]
             xg = kernels.mul_array_scalar(elements, gp, m)
-            if not (coords[np.searchsorted(elements, xg)] == (coords ^ gc)).all():
+            if not (coords_of(xg, "a product x g") == (coords ^ gc)).all():
                 raise AssertionError("coordinates are not multiplicative")
             left = kernels.mul_array_scalar(xinv, kernels.inv(gp, m), m)
             comm = kernels.mul_arrays(left, xg, m)
-            if not (coords[np.searchsorted(elements, comm)] == 0).all():
+            if not (coords_of(comm, "a commutator") == 0).all():
                 raise AssertionError("a commutator has nonzero Frattini coordinates")
         n_phi = int((coords == 0).sum())
         if n_phi << fq.rank != len(elements):
@@ -501,7 +514,7 @@ def _greedy_generators(targets: np.ndarray, m: int,
     gens: list[int] = []
     current = kernels.closure([], m)
     while True:
-        missing = targets[~np.isin(targets, current, assume_unique=True)]
+        missing = targets[~kernels.in_sorted(targets, current)]
         if not missing.size:
             return gens, current
         gens.append(int(missing[0]))

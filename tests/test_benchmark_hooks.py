@@ -5,6 +5,11 @@ run is traced, and ``perfbench/worker.py`` records
 ``minimal2.kernels._USE_NUMBA``.  A deletion or rename that would break
 ``perfbench/run.py --trace 1`` fails here instead.  The spans module is
 loaded by path and nothing is wrapped.
+
+The trace counts census pops as ``OpenSubgroup.own_digest`` calls and kept
+nodes as ``conjugacy_digests`` calls, so the census must make exactly one
+of each per candidate and per kept node for those counters to keep their
+meaning.
 """
 
 import importlib
@@ -14,6 +19,8 @@ from pathlib import Path
 import pytest
 
 import minimal2
+from minimal2 import minimality
+from minimal2.subgroups import OpenSubgroup
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -37,3 +44,46 @@ def test_traced_layer_resolves(owner, attr):
 
 def test_numba_flag_exists():
     assert hasattr(minimal2.kernels, "_USE_NUMBA")
+
+
+# Counts for census(16, 24) from the pop-time census loop, which called
+# own_digest once per popped candidate and conjugacy_digests once per kept
+# node.
+CENSUS_16_24_CANDIDATES = 965
+CENSUS_16_24_KEPT = 338
+# Children built (Schreier generators taken) after the seen test at
+# creation; the pop-time loop built all 964 non-root candidates.
+CENSUS_16_24_BUILT = 568
+
+
+def test_census_digest_calls_count_candidates_and_kept_nodes(monkeypatch):
+    own, orbits, built = [], [], []
+    own_digest = OpenSubgroup.own_digest
+    conjugacy_digests = OpenSubgroup.conjugacy_digests
+    schreier_generators = minimality.schreier_generators
+
+    def count_own(self):
+        own.append(None)
+        return own_digest(self)
+
+    def count_orbits(self):
+        orbits.append(conjugacy_digests(self))
+        return orbits[-1]
+
+    def count_built(*args):
+        built.append(None)
+        return schreier_generators(*args)
+
+    monkeypatch.setattr(OpenSubgroup, "own_digest", count_own)
+    monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", count_orbits)
+    monkeypatch.setattr(minimality, "schreier_generators", count_built)
+    minimality.census(16, 24)
+    assert len(own) == CENSUS_16_24_CANDIDATES
+    assert len(orbits) == CENSUS_16_24_KEPT
+    assert len(built) == CENSUS_16_24_BUILT
+    # each kept node is a new conjugacy class: its orbit is disjoint from
+    # every orbit before it
+    union = set()
+    for digests in orbits:
+        assert union.isdisjoint(digests)
+        union |= digests

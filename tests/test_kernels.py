@@ -141,3 +141,94 @@ class TestBulkOps:
         sq = kernels.square_array(xs, 8)
         ref = kernels.mul_arrays(xs, xs, 8)
         assert (sq == ref).all()
+
+
+class TestUnique:
+    @pytest.mark.parametrize("xs", [
+        [],
+        [7],
+        [5, 5, 5, 5],
+        [3, 1, 2, 3, 1],
+    ])
+    def test_small_cases_match_np_unique(self, xs):
+        xs = np.array(xs, dtype=np.int64)
+        got = kernels.unique(xs)
+        assert got.dtype == xs.dtype
+        assert got.tolist() == np.unique(xs).tolist()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_packed_arrays_match_np_unique(self, seed):
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, 1 << 32, size=300)
+        xs = rng.choice(pool, size=2000)
+        assert (kernels.unique(xs) == np.unique(xs)).all()
+
+
+def _unit_matrices(rng, m, size):
+    """Random packed matrices mod m with unit determinant, and their entries."""
+    out = []
+    while len(out) < size:
+        e = tuple(int(v) for v in rng.integers(0, m, size=4))
+        if np.gcd((e[0] * e[3] - e[1] * e[2]) % m, m) == 1:
+            out.append(e)
+    return np.array([kernels.pack(*e) for e in out], dtype=np.int64)
+
+
+# m = 256 and 32 take the mask reduction, 9 and 25 the % reduction.
+ARITH_MODULI = [256, 32, 9, 25]
+
+
+class TestBulkArithmeticMatchesScalar:
+    def test_pack_unpack_roundtrip_every_entry_value(self):
+        v = np.arange(256)
+        cols = [v, (v + 85) % 256, (v * 7 + 3) % 256, 255 - v]
+        packed = kernels.pack_array(*cols)
+        assert packed.dtype == np.int64 and (packed >= 0).all()
+        assert int(packed.max()) >= 1 << 31  # d >= 128 sets bit 31
+        for i in range(256):
+            assert int(packed[i]) == kernels.pack(*(int(c[i]) for c in cols))
+        back = kernels.unpack_array(packed)
+        assert all((b == c).all() for b, c in zip(back, cols))
+        # the int32 entry arrays repack to the same values
+        assert (kernels.pack_array(*back) == packed).all()
+
+    @pytest.mark.parametrize("m", ARITH_MODULI)
+    def test_products(self, m):
+        rng = np.random.default_rng(m)
+        xs = _unit_matrices(rng, m, 200)
+        ys = _unit_matrices(rng, m, 200)
+        y = int(ys[0])
+        right = kernels.mul_array_scalar(xs, y, m)
+        left = kernels.mul_array_scalar(xs, y, m, right=False)
+        both = kernels.mul_arrays(xs, ys, m)
+        square = kernels.square_array(xs, m)
+        for i, x in enumerate(int(v) for v in xs):
+            assert int(right[i]) == kernels.mul(x, y, m)
+            assert int(left[i]) == kernels.mul(y, x, m)
+            assert int(both[i]) == kernels.mul(x, int(ys[i]), m)
+            assert int(square[i]) == kernels.mul(x, x, m)
+
+    @pytest.mark.parametrize("m", ARITH_MODULI)
+    def test_conj_inv_neg_det(self, m):
+        rng = np.random.default_rng(m + 1)
+        xs = _unit_matrices(rng, m, 200)
+        g = int(_unit_matrices(rng, m, 1)[0])
+        conj = kernels.conj_array(xs, g, m)
+        inv = kernels.inv_array(xs, m)
+        neg = kernels.neg_array(xs, m)
+        det = kernels.det_array(xs, m)
+        gi = kernels.inv(g, m)
+        for i, x in enumerate(int(v) for v in xs):
+            assert int(conj[i]) == kernels.mul(kernels.mul(g, x, m), gi, m)
+            assert int(inv[i]) == kernels.inv(x, m)
+            assert int(neg[i]) == kernels.neg(x, m)
+            assert int(det[i]) == kernels.det(x, m)
+
+    @pytest.mark.parametrize("m", ARITH_MODULI)
+    def test_det_of_singular_matrices(self, m):
+        rng = np.random.default_rng(m + 2)
+        xs = kernels.pack_array(*[rng.integers(0, m, size=300) for _ in range(4)])
+        det = kernels.det_array(xs, m)
+        assert det.tolist() == [kernels.det(int(x), m) for x in xs]
+        with pytest.raises(ValueError):
+            kernels.inv_array(np.append(xs[:1], kernels.pack(0, 0, 0, 0)), m)

@@ -213,3 +213,72 @@ class TestFalsifier:
     def test_rejects_unsupported_prime(self):
         with pytest.raises(ValueError):
             minimality.falsify_odd_prime(7)
+
+
+def _pop_time_census_nodes(level_bound, index_bound):
+    """(level, own digest) of the kept census nodes, in order, by the
+    earlier pop-time path: every child is pushed once it passes the level
+    bound, and its level, reduction and digest are computed when popped."""
+    from minimal2.minimality import (
+        _FULL_CLASS_SPAN,
+        _basis_det_classes,
+        _hyperplane_det_class_span,
+        _model_at,
+    )
+    from minimal2.subgroups import schreier_generators
+
+    seen, kept = set(), []
+    stack = [sylow_pro2_subgroup()]
+    while stack:
+        H = stack.pop()
+        lvl, idx = H.level(), H.index_in_ambient()
+        HL = H.reduce(lvl)
+        HL._level = lvl
+        if HL.own_digest() in seen:
+            continue
+        seen.update(HL.conjugacy_digests())
+        kept.append((lvl, HL.own_digest()))
+        HM = _model_at(H, max(8, 2 * lvl))
+        fq = HM.frattini_quotient(verify=False)
+        if fq.rank == 2 or 2 * idx > index_bound:
+            continue
+        classes = _basis_det_classes(fq, HM.modulus)
+        for mu in range(1, 1 << fq.rank):
+            if _hyperplane_det_class_span(mu, classes) != _FULL_CLASS_SPAN:
+                continue
+            gens = schreier_generators(fq, fq.basis, mu)
+            child = OpenSubgroup(2, HM.modulus, [kernels.unpack(g) for g in gens],
+                                 _elements=HM.elements[fq.hyperplane_mask(mu)])
+            if child.level() <= level_bound:
+                stack.append(child)
+    return kept
+
+
+class TestCensusChildLevels:
+    def test_child_levels_and_digests_match_the_pop_time_path(self, monkeypatch):
+        popped, kept = [], []
+        model_at = minimality._model_at
+        digests = OpenSubgroup.conjugacy_digests
+
+        def record_model_at(H, modulus):
+            popped.append(H)
+            return model_at(H, modulus)
+
+        def record_digests(self):
+            kept.append((self.level(), self.own_digest()))
+            return digests(self)
+
+        monkeypatch.setattr(minimality, "_model_at", record_model_at)
+        monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", record_digests)
+        entries = minimality.census(16, 24)
+        monkeypatch.undo()
+
+        assert len(entries) == 4
+        assert len(kept) > 100
+        # every popped node's level, set by the child path, against a fresh
+        # object that recomputes it from its generators
+        for H in popped:
+            fresh = OpenSubgroup(2, H.modulus, [g.entries() for g in H.generators])
+            assert H._level == fresh.level()
+            assert (fresh.elements == H.elements).all()
+        assert kept == _pop_time_census_nodes(16, 24)

@@ -6,6 +6,7 @@ import pytest
 from minimal2 import kernels
 from minimal2.modmat import ResidueMatrix, _prime_factors, gl2_order
 from minimal2.subgroups import (
+    FrattiniQuotient,
     OpenSubgroup,
     _is_primitive_root,
     ambient_generators,
@@ -231,6 +232,33 @@ class TestFrattini:
         H = OpenSubgroup(2, 8, [D31, D51], _elements=sylow8().elements)
         with pytest.raises(AssertionError, match="do not generate"):
             H.frattini_quotient(verify=False)
+
+    @pytest.mark.parametrize("drop", ["first", "last"])
+    def test_sweep_rejects_an_element_set_missing_a_non_phi_element(self, drop):
+        # Remove one element outside Phi from the element set and from the
+        # quotient; some product x g then lands outside the stored set.
+        H = rank3_group()
+        fq = H.frattini_quotient(verify=False)
+        outside = np.flatnonzero(fq._coords != 0)
+        i = int(outside[0] if drop == "first" else outside[-1])
+        elems = np.delete(H.elements, i)
+        cut = OpenSubgroup(2, 8, [g.entries() for g in H.generators],
+                           _elements=elems)
+        bad = FrattiniQuotient(rank=fq.rank, basis=fq.basis, _modulus=8,
+                               _elements=elems, _coords=np.delete(fq._coords, i))
+        with pytest.raises(AssertionError, match="outside the element set"):
+            cut._verify_frattini(bad)
+
+    def test_sweep_rejects_tampered_coordinates(self):
+        H = rank3_group()
+        fq = H.frattini_quotient(verify=False)
+        H._verify_frattini(fq)  # the true quotient passes
+        coords = fq._coords.copy()
+        coords[np.flatnonzero(coords != 0)[0]] ^= 1
+        bad = FrattiniQuotient(rank=fq.rank, basis=fq.basis, _modulus=8,
+                               _elements=fq._elements, _coords=coords)
+        with pytest.raises(AssertionError):
+            H._verify_frattini(bad)
 
 
 def _fewest_generators(elements, m):
