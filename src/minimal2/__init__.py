@@ -35,7 +35,7 @@ from .minimality import (
     verify_non_two_group_witness,
     verify_unit_square_lemma,
 )
-from .modmat import ResidueMatrix, gl2_order
+from .modmat import gl2_order
 from .report import Report, RunConfig, run, verify_all
 from .subgroups import OpenSubgroup, ambient_generators, closure
 
@@ -52,7 +52,6 @@ __all__ = [
     "PrimeFieldElem",
     "QuadFieldElem",
     "Report",
-    "ResidueMatrix",
     "RunConfig",
     "WeierstrassCurve",
     "adjoin_minus_I",

@@ -1,9 +1,12 @@
 """Low-level kernels for 2x2 matrices over Z/m packed into single integers.
 
 A matrix [[a, b], [c, d]] with entries reduced mod m (m <= 256) is stored as
-``a | b<<8 | c<<16 | d<<24``.  Element sets are kept as sorted int64 numpy
+``a | b<<8 | c<<16 | d<<24``.  This is the only matrix representation: a
+single matrix is a Python int, and element sets are sorted int64 numpy
 arrays of packed values, which makes membership a binary search and lets the
-breadth-first closure run over flat arrays.
+breadth-first closure run over flat arrays.  Scalar ``mul``/``inv``/``det``/
+``neg`` serve single matrices, and ``order_array`` is the one element-order
+routine.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
 each generator at once, and conjugation maps a whole element set at once.

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import kernels
 from .modcurve import GenusData, genus
-from .modmat import ResidueMatrix, gl2_order
+from .modmat import gl2_order
 from .smallgroups import FiniteGroupTable
 from .subgroups import (
     DEFAULT_ELEMENT_BUDGET,
@@ -91,13 +91,14 @@ class MinimalityReport:
     frattini_rank: Optional[int]
     certifying_modulus: int
     witnesses: dict
-    provisional: bool = False
     sanity_recheck: Optional[dict] = None
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
         if d["sanity_recheck"] is None:
             del d["sanity_recheck"]
+        # every verdict is certified; the key keeps check reports' bytes
+        d["provisional"] = False
         return d
 
 
@@ -107,7 +108,7 @@ def _det_class_vector(x: int, modulus: int) -> int:
 
 
 def _basis_det_classes(fq: FrattiniQuotient, modulus: int) -> list[int]:
-    return [_det_class_vector(b.packed(), modulus) for b in fq.basis]
+    return [_det_class_vector(b, modulus) for b in fq.basis]
 
 
 def _hyperplane_det_class_span(mu: int, det_classes: list[int]) -> frozenset[int]:
@@ -185,8 +186,7 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
                 break
     if kernels.det_image(current, HM.modulus, 8) != UNIT_RESIDUES_MOD_8:
         raise AssertionError("Sylow-grown maximal lost determinant fullness")
-    return OpenSubgroup(2, HM.modulus, [kernels.unpack(g) for g in gens],
-                        _elements=current)
+    return OpenSubgroup(2, HM.modulus, gens, _elements=current)
 
 
 def _det_full_hyperplane_witness(HM: OpenSubgroup,
@@ -253,31 +253,27 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
     return verdict, two_group, det_full, rank, witnesses
 
 
-def is_minimal(H: OpenSubgroup, *, max_modulus: Optional[int] = None,
-               _recheck: bool = True) -> MinimalityReport:
+def is_minimal(H: OpenSubgroup, *, _recheck: bool = True) -> MinimalityReport:
     """Decide minimality of the open subgroup represented by H.
 
-    The check runs at the certifying modulus M = max(8, 2 * level(H)).  When
-    ``max_modulus`` caps the available modulus below M the report is marked
-    provisional.  For level <= 2 the whole check is repeated at 2M and the
-    agreement recorded, as a guard on the modulus argument in the cheapest
-    regime where that costs nothing.
+    The check runs at the certifying modulus M = max(8, 2 * level(H)), so the
+    level can be at most half the largest packed modulus.  For level <= 2
+    the whole check is repeated at 2M and the agreement recorded, as a guard
+    on the modulus argument in the cheapest regime where that costs nothing.
     """
     if H.prime != 2:
         raise ValueError("minimality is defined for subgroups of GL_2(Z_2)")
     lvl = H.level()
     cert = max(8, 2 * lvl)
-    provisional = False
-    if max_modulus is not None and cert > max_modulus:
-        if max_modulus < max(8, lvl):
-            raise ValueError("max_modulus below the level; nothing certifiable")
-        cert = max_modulus
-        provisional = True
+    if cert > kernels.MAX_PACK_MODULUS:
+        raise ValueError(f"level {lvl} is above "
+                         f"{kernels.MAX_PACK_MODULUS // 2}, the largest level "
+                         "that can be certified")
     HM = _model_at(H, cert)
     verdict, two_group, det_full, rank, witnesses = _core_minimality(HM, True)
 
     sanity = None
-    if _recheck and not provisional and lvl <= 2:
+    if _recheck and lvl <= 2:
         v2, _, _, r2, _ = _core_minimality(_model_at(H, 2 * cert), False)
         if v2 != verdict or r2 != rank:
             raise AssertionError("sanity recheck at doubled modulus disagrees")
@@ -290,7 +286,6 @@ def is_minimal(H: OpenSubgroup, *, max_modulus: Optional[int] = None,
         frattini_rank=rank,
         certifying_modulus=cert,
         witnesses=witnesses,
-        provisional=provisional,
         sanity_recheck=sanity,
     )
 
@@ -412,8 +407,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if child_digest in seen:
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
-                child = OpenSubgroup(2, HM.modulus,
-                                     [kernels.unpack(g) for g in gens],
+                child = OpenSubgroup(2, HM.modulus, gens,
                                      _elements=child_elems,
                                      element_budget=element_budget)
                 child._level = CL.modulus
@@ -447,7 +441,7 @@ def _make_entry(HM: OpenSubgroup, HL: OpenSubgroup, idx: int,
                 fq: FrattiniQuotient) -> CensusEntry:
     gdata = genus(HM)
     key = hashlib.sha256(HL.canonical_key()).hexdigest()
-    gens = tuple(b.entries() for b in fq.basis)
+    gens = tuple(kernels.unpack(b) for b in fq.basis)
     return CensusEntry(
         level=HL.modulus,
         index=idx,
@@ -613,7 +607,8 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
                 f"falsifier failed for p={p}, class {ci}: no lift of the "
                 "primitive-det element has full det order mod p^2; this "
                 "would contradict the odd-prime non-minimality argument")
-        cyc_order = ResidueMatrix.from_packed(witness, p * p).order()
+        cyc_order = int(kernels.order_array(
+            np.array([witness], dtype=np.int64), p * p)[0])
         preimage_order = len(sub) * p ** 4
         if cyc_order >= preimage_order:
             raise AssertionError("cyclic witness is not proper")
@@ -649,9 +644,8 @@ def nilpotent_lift_check(progress: Optional[Callable[[str], None]] = None) -> di
     classes = table.subgroup_classes()
     nilpotent_count = 0
     for ci, (sub, gens) in enumerate(classes):
-        gen_mats = [kernels.unpack(int(table.elements[g])) for g in gens]
-        gen_mats = gen_mats or [(1, 0, 0, 1)]
-        base = OpenSubgroup(3, 3, gen_mats, _elements=table.elements[sub])
+        base = OpenSubgroup(3, 3, [table.elements[g] for g in gens],
+                            _elements=table.elements[sub])
         lifted = base.lift(9)
         if lifted.is_nilpotent():
             nilpotent_count += 1

@@ -31,7 +31,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import kernels
-from .modmat import ResidueMatrix
 from .subgroups import OpenSubgroup
 
 # standard elements of SL_2: order 4 (order 2 in PSL), order 3, translation
@@ -70,10 +69,10 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
     if G.contains_minus_identity():
         return G
     m = G.modulus
-    minus = ResidueMatrix(m, -1, 0, 0, -1)
+    minus = kernels.neg(kernels.IDENTITY, m)
     elems = kernels.unique(
         np.concatenate([G.elements, kernels.neg_array(G.elements, m)]))
-    return OpenSubgroup(G.prime, m, list(G.generators) + [minus],
+    return OpenSubgroup(G.prime, m, [*G.generators, minus],
                         _elements=elems, element_budget=G.element_budget)
 
 

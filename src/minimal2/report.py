@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from . import ellcurve
 from . import modcurve
 from . import lie2adic, minimality
-from .subgroups import OpenSubgroup
+from .subgroups import OpenSubgroup, ambient_generators
 
 SCHEMA_VERSION = 1
 
@@ -261,11 +261,7 @@ def _criterion_det_full_maximal(config, progress):
 
 def _classical_groups() -> dict[str, OpenSubgroup]:
     """X(1), X_0(2) and X(2) as mod-8 models of level-dividing-2 groups."""
-    from .subgroups import ambient_generators
-    from . import kernels
-
-    full = OpenSubgroup(2, 8, [kernels.unpack(g)
-                               for g in ambient_generators(2, 8)])
+    full = OpenSubgroup(2, 8, ambient_generators(2, 8))
     borel = minimality.sylow_pro2_subgroup()
     kernel2 = OpenSubgroup(2, 8, [(1, 2, 0, 1), (1, 0, 2, 1), (3, 0, 0, 1),
                                   (1, 0, 0, 3), (5, 0, 0, 1), (1, 0, 0, 5)])

@@ -1,10 +1,11 @@
 """Open subgroups of GL_2(Z_p) represented at a finite prime-power modulus.
 
-An OpenSubgroup stores generators mod p^k and stands for the full preimage of
-the generated group in GL_2(Z_p).  Element sets are frozen sorted arrays of
-packed matrices; membership is binary search.  Level, index, determinant
-surjectivity, Frattini quotient, index-2 subgroups, nilpotency and a
-conjugacy canonical key are all computed from the element set.
+An OpenSubgroup stores generators mod p^k, as packed ints (see kernels), and
+stands for the full preimage of the generated group in GL_2(Z_p).  Element
+sets are frozen sorted arrays of packed matrices; membership is binary
+search.  Level, index, determinant surjectivity, Frattini quotient, index-2
+subgroups, nilpotency and a conjugacy canonical key are all computed from
+the element set.
 
 The Frattini machinery applies to 2-group images, the only case the search
 needs.  For a finite 2-group Phi(H) = <x^2 : x in H>, since every commutator
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .modmat import ResidueMatrix, _prime_factors, _prime_power, gl2_order
+from .modmat import _prime_factors, _prime_power, gl2_order
 
 DEFAULT_ELEMENT_BUDGET = 1 << 25
 # An orbit is never larger than the index, so this binds only on groups of
@@ -55,21 +56,20 @@ def _is_int(v) -> bool:
 class FrattiniQuotient:
     """The quotient H/Phi(H) of a finite 2-group, with explicit coordinates.
 
-    basis holds rank coset representatives whose coordinate vectors are the
-    unit vectors; coordinates are additive: coords(xy) = coords(x) + coords(y)
-    over F_2.
+    basis holds rank packed coset representatives whose coordinate vectors
+    are the unit vectors; coordinates are additive: coords(xy) = coords(x) +
+    coords(y) over F_2.
     """
 
     rank: int
-    basis: list[ResidueMatrix]
+    basis: list[int]
     _modulus: int
     _elements: np.ndarray
     _coords: np.ndarray  # uint32, parallel to _elements, basis-adapted
 
-    def coords(self, x: "ResidueMatrix | int") -> tuple[int, ...]:
-        packed = x.packed() if isinstance(x, ResidueMatrix) else int(x)
-        i = int(np.searchsorted(self._elements, packed))
-        if i >= len(self._elements) or self._elements[i] != packed:
+    def coords(self, x: int) -> tuple[int, ...]:
+        i = int(np.searchsorted(self._elements, x))
+        if i >= len(self._elements) or self._elements[i] != x:
             raise ValueError("element not in the subgroup")
         v = int(self._coords[i])
         return tuple((v >> j) & 1 for j in range(self.rank))
@@ -164,6 +164,10 @@ class OpenSubgroup:
     The object denotes the full preimage of <generators> under reduction
     from GL_2(Z_p); models at different moduli denote the same open group
     when one is the lift of the other.  Immutable after construction.
+
+    Each generator is a packed int (a Python or numpy integer) or a sequence
+    of the four entries (a, b, c, d); entries are reduced mod the modulus,
+    and ``generators`` holds the packed results.
     """
 
     def __init__(self, prime: int, modulus: int, generators, _elements=None,
@@ -171,18 +175,23 @@ class OpenSubgroup:
         p, _ = _prime_power(modulus)
         if p != prime:
             raise ValueError(f"modulus {modulus} is not a power of {prime}")
+        if modulus > kernels.MAX_PACK_MODULUS:
+            # larger entries would overlap the packed 8-bit fields
+            raise ValueError(f"modulus {modulus} is above "
+                             f"{kernels.MAX_PACK_MODULUS}, the largest "
+                             "supported modulus")
         gens = []
         for g in generators:
-            if not isinstance(g, ResidueMatrix):
-                g = ResidueMatrix(modulus, *g)
-            if g.modulus != modulus:
-                raise ValueError("generator modulus mismatch")
-            if not g.is_invertible():
-                raise ValueError(f"generator {g} is not invertible")
-            gens.append(g)
+            if isinstance(g, (int, np.integer)):
+                g = kernels.unpack(int(g))
+            x = kernels.pack(*(int(v) % modulus for v in g))
+            if kernels.det(x, p) == 0:
+                raise ValueError(f"generator {kernels.unpack(x)} is not "
+                                 f"invertible mod {modulus}")
+            gens.append(x)
         self.prime = prime
         self.modulus = modulus
-        self.generators: tuple[ResidueMatrix, ...] = tuple(gens)
+        self.generators: tuple[int, ...] = tuple(gens)
         self.element_budget = element_budget
         self._elements = _elements
         self._level: int | None = None
@@ -195,18 +204,14 @@ class OpenSubgroup:
     def elements(self) -> np.ndarray:
         if self._elements is None:
             self._elements = kernels.closure(
-                [g.packed() for g in self.generators],
-                self.modulus,
-                cap=self.element_budget,
-            )
+                self.generators, self.modulus, cap=self.element_budget)
         return self._elements
 
     def order(self) -> int:
         return len(self.elements)
 
-    def contains(self, x: "ResidueMatrix | int") -> bool:
-        packed = x.packed() if isinstance(x, ResidueMatrix) else int(x)
-        return kernels.contains(self.elements, packed)
+    def contains(self, x: int) -> bool:
+        return kernels.contains(self.elements, x)
 
     def contains_minus_identity(self) -> bool:
         return self.contains(kernels.neg(kernels.IDENTITY, self.modulus))
@@ -239,7 +244,7 @@ class OpenSubgroup:
         if self._elements is not None:
             elems = kernels.unique(kernels.reduce_array(self._elements, m2))
         return OpenSubgroup(
-            self.prime, m2, [g.reduce(m2) for g in self.generators],
+            self.prime, m2, self.generators,
             _elements=elems, element_budget=self.element_budget)
 
     def lift(self, m2: int) -> "OpenSubgroup":
@@ -253,10 +258,9 @@ class OpenSubgroup:
         # m = 2, where their dets lie in {1, 3} mod 8 and I + 4 E_ij are
         # needed as well.
         steps = [m, 4] if m == 2 and m2 >= 8 else [m]
-        kernel_gens = [ResidueMatrix(m2, *g) for e in steps
+        kernel_gens = [g for e in steps
                        for g in ((1 + e, 0, 0, 1), (1, e, 0, 1),
                                  (1, 0, e, 1), (1, 0, 0, 1 + e))]
-        gens = [ResidueMatrix(m2, *g.entries()) for g in self.generators]
         elems = None
         if self._elements is not None:
             ratio4 = (m2 // m) ** 4
@@ -264,7 +268,7 @@ class OpenSubgroup:
                 raise kernels.BudgetExceeded(
                     f"lift to modulus {m2} exceeds the element budget")
             elems = kernels.lift_array(self._elements, m, m2)
-        return OpenSubgroup(self.prime, m2, gens + kernel_gens,
+        return OpenSubgroup(self.prime, m2, [*self.generators, *kernel_gens],
                             _elements=elems, element_budget=self.element_budget)
 
     # -- determinant ------------------------------------------------------------
@@ -294,16 +298,14 @@ class OpenSubgroup:
             basis_packed, coords = _frattini_layers(
                 elements, self.modulus, self.element_budget)
             rank = len(basis_packed)
-            gens = np.array([g.packed() for g in self.generators],
-                            dtype=np.int64)
+            gens = np.array(self.generators, dtype=np.int64)
             missing = "generators do not generate the element set"
             gen_coords = coords[_positions(elements, gens, missing)]
             if _f2_rank(int(c) for c in gen_coords) != rank:
                 raise AssertionError(missing)
             self._fq = FrattiniQuotient(
                 rank=rank,
-                basis=[ResidueMatrix.from_packed(x, self.modulus)
-                       for x in basis_packed],
+                basis=basis_packed,
                 _modulus=self.modulus,
                 _elements=elements,
                 _coords=coords)
@@ -325,8 +327,7 @@ class OpenSubgroup:
         if not (coords_of(kernels.square_array(elements, m), "a square") == 0).all():
             raise AssertionError("a square has nonzero Frattini coordinates")
         xinv = kernels.inv_array(elements, m)
-        for g in self.generators:
-            gp = g.packed()
+        for gp in self.generators:
             gc = coords_of(np.array([gp], dtype=np.int64), "a generator")[0]
             xg = kernels.mul_array_scalar(elements, gp, m)
             if not (coords_of(xg, "a product x g") == (coords ^ gc)).all():
@@ -347,7 +348,7 @@ class OpenSubgroup:
         for mu in range(1, 1 << fq.rank):
             gens = schreier_generators(fq, self.generators, mu)
             out.append(OpenSubgroup(
-                self.prime, m, [kernels.unpack(g) for g in gens],
+                self.prime, m, gens,
                 _elements=self.elements[fq.hyperplane_mask(mu)],
                 element_budget=self.element_budget))
         return out
@@ -357,13 +358,12 @@ class OpenSubgroup:
     def _normal_closure(self, seeds: list[int]) -> np.ndarray:
         """Element set of the normal closure in H of <seeds>."""
         m = self.modulus
-        gens = [g.packed() for g in self.generators]
         ncl_gens = sorted(set(seeds))
         current = kernels.closure(ncl_gens, m, cap=self.element_budget)
         stable = False
         while not stable:
             stable = True
-            for g in gens:
+            for g in self.generators:
                 conj = kernels.conjugate_set(current, g, m)
                 if not kernels.is_subset(conj, current):
                     ncl_gens = sorted(set(ncl_gens) | {int(v) for v in conj})
@@ -375,12 +375,11 @@ class OpenSubgroup:
     def is_nilpotent(self) -> bool:
         """Lower central series termination test."""
         m = self.modulus
-        gens = [g.packed() for g in self.generators]
         layer = self.elements
-        layer_gens: list[int] = gens
+        layer_gens = self.generators
         while True:
             comms = set()
-            for g in gens:
+            for g in self.generators:
                 gi = kernels.inv(g, m)
                 for x in layer_gens:
                     xi = kernels.inv(int(x), m)
@@ -439,7 +438,7 @@ class OpenSubgroup:
         return {
             "prime": self.prime,
             "modulus": self.modulus,
-            "generators": [list(g.entries()) for g in self.generators],
+            "generators": [list(kernels.unpack(g)) for g in self.generators],
         }
 
     @classmethod
@@ -460,8 +459,7 @@ class OpenSubgroup:
             if not (isinstance(e, list) and len(e) == 4 and all(map(_is_int, e))):
                 raise ValueError(f"group JSON generators[{k}] must be a list "
                                  f"of 4 integers, got {e!r}")
-        return cls(d["prime"], d["modulus"],
-                   [ResidueMatrix(d["modulus"], *e) for e in d["generators"]])
+        return cls(d["prime"], d["modulus"], d["generators"])
 
     def __repr__(self):
         return (f"OpenSubgroup(p={self.prime}, mod {self.modulus}, "
@@ -481,8 +479,6 @@ def ambient_generators(prime: int, modulus: int) -> list[int]:
     plus diagonal unit generators."""
     if prime == 2:
         units = [u % modulus for u in (3, 5) if u % modulus != 1]
-        if not units:
-            units = []
     else:
         units = [_primitive_root(prime, modulus)]
     gens = [kernels.pack(1, 1, 0, 1), kernels.pack(1, 0, 1, 1)]
@@ -551,7 +547,7 @@ def sylow_subgroup(elements: np.ndarray, m: int, q: int,
     return current
 
 
-def schreier_generators(fq: FrattiniQuotient, gens: "list[ResidueMatrix]",
+def schreier_generators(fq: FrattiniQuotient, gens: list[int] | tuple[int, ...],
                         mu: int) -> list[int]:
     """Packed generators of the hyperplane subgroup ker(mu) of <gens>.
 
@@ -561,10 +557,10 @@ def schreier_generators(fq: FrattiniQuotient, gens: "list[ResidueMatrix]",
     identity dropped.
     """
     m = fq._modulus
-    t = fq.basis[(mu & -mu).bit_length() - 1].packed()
+    t = fq.basis[(mu & -mu).bit_length() - 1]
     t_inv = kernels.inv(t, m)
     out: dict[int, None] = {}
-    for g in (x.packed() for x in gens):
+    for g in gens:
         if sum(c & (mu >> i) for i, c in enumerate(fq.coords(g))) % 2 == 0:
             cand = (g, kernels.mul(kernels.mul(t, g, m), t_inv, m))
         else:

@@ -179,9 +179,18 @@ class TestClassSweep:
     def test_exponent_of_gl2_mod4(self):
         from math import lcm
 
-        from minimal2.modmat import ResidueMatrix
+        def order_mod4(x):
+            # least n with x^n = I, by a plain product loop on entry tuples
+            power, n = x, 1
+            while power != (1, 0, 0, 1):
+                a, b, c, d = power
+                e, f, g, h = x
+                power = ((a * e + b * g) % 4, (a * f + b * h) % 4,
+                         (c * e + d * g) % 4, (c * f + d * h) % 4)
+                n += 1
+            return n
 
-        e = lcm(*(ResidueMatrix(4, *m).order() for m in gl2_mod4_elements()))
+        e = lcm(*(order_mod4(m) for m in gl2_mod4_elements()))
         assert e == 12
 
     def test_full_sweep_results(self, lie_records):

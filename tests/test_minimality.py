@@ -65,27 +65,20 @@ class TestIsMinimal:
         assert rep.verdict is True
         assert rep.frattini_rank == 2
         assert rep.certifying_modulus == 16
-        assert rep.provisional is False
+        assert rep.to_json_dict()["provisional"] is False
         imgs = rep.witnesses["maximal_det_images_mod8"]
         assert sorted(map(tuple, imgs)) == [(1, 3), (1, 5), (1, 7)]
 
-    def test_max_modulus_marks_provisional(self):
+    def test_level8_diagonal_group_is_certified_at_16(self):
+        # rank 2 mod 8, but the open group S denotes has level 8 and is
+        # not minimal: the certificate needs modulus 16
         S = closure([(3, 0, 0, 1), (5, 0, 0, 1)], 8)
-        capped = is_minimal(S, max_modulus=8)
-        assert capped.verdict is True
-        assert capped.provisional is True
-        assert capped.certifying_modulus == 8
-        # the open group S denotes has level 8 and is not minimal
+        assert S.level() == 8
+        assert S.frattini_quotient().rank == 2
         honest = is_minimal(S)
         assert honest.verdict is False
         assert honest.frattini_rank == 5
         assert honest.certifying_modulus == 16
-        assert honest.provisional is False
-
-    def test_max_modulus_below_level_rejected(self):
-        S = closure([(3, 0, 0, 1), (5, 0, 0, 1)], 16)
-        with pytest.raises(ValueError):
-            is_minimal(S, max_modulus=8)
 
     def test_odd_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -278,7 +271,7 @@ class TestCensusChildLevels:
         # every popped node's level, set by the child path, against a fresh
         # object that recomputes it from its generators
         for H in popped:
-            fresh = OpenSubgroup(2, H.modulus, [g.entries() for g in H.generators])
+            fresh = OpenSubgroup(2, H.modulus, H.generators)
             assert H._level == fresh.level()
             assert (fresh.elements == H.elements).all()
         assert kept == _pop_time_census_nodes(16, 24)

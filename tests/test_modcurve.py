@@ -80,7 +80,7 @@ def coset_action_genus(G):
     every coset is built as an explicit set, S, T3 and U act on cosets by
     right multiplication, and the cusps are the cycles of U."""
     n = G.modulus
-    gens = [g.entries() for g in G.generators] + [(n - 1, 0, 0, n - 1)]
+    gens = [kernels.unpack(g) for g in G.generators] + [(n - 1, 0, 0, n - 1)]
     h_sl = [x for x in _generated(gens, n) if (x[0] * x[3] - x[1] * x[2]) % n == 1]
     coset_of, reps = {}, []
     for x in _sl2_sorted(n):
@@ -200,8 +200,7 @@ class TestGenusInvariance:
         for _ in range(5):
             g = int(pool[int(rng.integers(len(pool)))])
             gi = kernels.inv(g, 8)
-            gens = [kernels.unpack(kernels.mul(kernels.mul(g, x.packed(), 8), gi, 8))
-                    for x in H.generators]
+            gens = [kernels.mul(kernels.mul(g, x, 8), gi, 8) for x in H.generators]
             assert genus(OpenSubgroup(2, 8, gens)) == base
 
     def test_model_modulus_does_not_matter(self):

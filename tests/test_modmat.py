@@ -1,4 +1,5 @@
-"""Residue-matrix arithmetic."""
+"""2x2 matrix arithmetic mod p^k: the packed scalar kernels, the generator
+checks of OpenSubgroup, and the order of GL_2(Z/p^k)."""
 
 import numpy as np
 import pytest
@@ -6,72 +7,79 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimal2 import kernels
-from minimal2.modmat import ResidueMatrix, gl2_order
+from minimal2.modmat import gl2_order
+from minimal2.subgroups import OpenSubgroup, ambient_generators
 
-
-def M8(a, b, c, d):
-    return ResidueMatrix(8, a, b, c, d)
+I = kernels.IDENTITY
+P = kernels.pack
 
 
 class TestResidueMatrixBasics:
     def test_identity_product(self):
-        I = ResidueMatrix.identity(8)
-        assert I * I == I
+        assert kernels.mul(I, I, 8) == I
 
     def test_hand_product_mod_2(self):
-        swap = ResidueMatrix(2, 0, 1, 1, 0)
-        shear = ResidueMatrix(2, 1, 1, 0, 1)
-        assert (swap * shear).entries() == (0, 1, 1, 1)
+        swap = P(0, 1, 1, 0)
+        shear = P(1, 1, 0, 1)
+        assert kernels.unpack(kernels.mul(swap, shear, 2)) == (0, 1, 1, 1)
 
     def test_entries_are_reduced(self):
-        assert ResidueMatrix(8, 9, -1, 16, 23).entries() == (1, 7, 0, 7)
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ResidueMatrix.identity(8) * ResidueMatrix.identity(4)
+        H = OpenSubgroup(2, 8, [(9, -1, 16, 23)])
+        assert [kernels.unpack(g) for g in H.generators] == [(1, 7, 0, 7)]
+        # packed ints, numpy integers among them, are taken as they are
+        H = OpenSubgroup(2, 8, [P(1, 7, 0, 7), np.int64(P(3, 0, 0, 1))])
+        assert H.generators == (P(1, 7, 0, 7), P(3, 0, 0, 1))
 
     def test_modulus_must_be_prime_power(self):
-        with pytest.raises(ValueError):
-            ResidueMatrix(12, 1, 0, 0, 1)
-        with pytest.raises(ValueError):
-            ResidueMatrix(1, 1, 0, 0, 1)
+        with pytest.raises(ValueError, match="not a prime power"):
+            OpenSubgroup(2, 12, [(1, 0, 0, 1)])
+        with pytest.raises(ValueError, match=">= 2"):
+            OpenSubgroup(2, 1, [(1, 0, 0, 1)])
+        with pytest.raises(ValueError, match="not a power of 3"):
+            OpenSubgroup(3, 8, [(1, 0, 0, 1)])
+
+    def test_modulus_must_pack(self):
+        # entries of 256 and more would overlap the packed 8-bit fields
+        with pytest.raises(ValueError, match="modulus 512 is above 256"):
+            OpenSubgroup(2, 512, [(1, 256, 0, 1)])
 
     def test_det_values(self):
-        assert ResidueMatrix.identity(8).det() == 1
-        assert M8(3, 0, 0, 1).det() == 3
-        assert M8(1, 2, 3, 4).det() == 6
+        assert kernels.det(I, 8) == 1
+        assert kernels.det(P(3, 0, 0, 1), 8) == 3
+        assert kernels.det(P(1, 2, 3, 4), 8) == 6
 
     def test_inverse(self):
-        I = ResidueMatrix.identity(8)
-        assert I.inverse() == I
-        d31 = M8(3, 0, 0, 1)
-        assert d31.inverse() == d31
-        shear = M8(1, 1, 0, 1)
-        assert shear.inverse() == M8(1, 7, 0, 1)
-        assert shear * shear.inverse() == I
+        assert kernels.inv(I, 8) == I
+        d31 = P(3, 0, 0, 1)
+        assert kernels.inv(d31, 8) == d31
+        shear = P(1, 1, 0, 1)
+        assert kernels.inv(shear, 8) == P(1, 7, 0, 1)
+        assert kernels.mul(shear, kernels.inv(shear, 8), 8) == I
 
     def test_inverse_requires_unit_det(self):
         with pytest.raises(ValueError):
-            M8(2, 0, 0, 1).inverse()
+            kernels.inv(P(2, 0, 0, 1), 8)
+        with pytest.raises(ValueError, match="not invertible"):
+            OpenSubgroup(2, 8, [(2, 0, 0, 1)])
 
     def test_order(self):
-        assert ResidueMatrix.identity(8).order() == 1
-        assert ResidueMatrix(4, -1, 0, 0, -1).order() == 2
-        assert M8(1, 1, 0, 1).order() == 8
-
-    def test_negative_power_uses_inverse(self):
-        shear = M8(1, 1, 0, 1)
-        assert shear ** -1 == shear.inverse()
-        assert shear ** -3 == (shear ** 3).inverse()
+        xs = np.array([I, P(3, 0, 0, 3), P(1, 1, 0, 1)], dtype=np.int64)
+        assert kernels.order_array(xs[:1], 8).tolist() == [1]
+        assert kernels.order_array(xs[1:2], 4).tolist() == [2]
+        assert kernels.order_array(xs[2:], 8).tolist() == [8]
 
     def test_reduce(self):
-        assert M8(5, 0, 0, 1).reduce(2) == ResidueMatrix.identity(2)
-        assert M8(1, 4, 0, 1).reduce(4) == ResidueMatrix.identity(4)
-        assert ResidueMatrix(16, 3, 2, 1, 1).reduce(4).entries() == (3, 2, 1, 1)
+        xs = np.array([P(5, 0, 0, 1), P(1, 4, 0, 1), P(3, 2, 1, 1)],
+                      dtype=np.int64)
+        assert kernels.reduce_array(xs[:1], 2).tolist() == [I]
+        assert kernels.reduce_array(xs[1:2], 4).tolist() == [I]
+        assert kernels.reduce_array(xs[2:], 4).tolist() == [P(3, 2, 1, 1)]
+        H = OpenSubgroup(2, 16, [(3, 2, 1, 1), (5, 0, 0, 1)])
+        assert H.reduce(4).generators == (P(3, 2, 1, 1), P(1, 0, 0, 1))
 
     def test_reduce_needs_divisor_modulus(self):
         with pytest.raises(ValueError):
-            M8(1, 0, 0, 1).reduce(3)
+            OpenSubgroup(2, 8, [(1, 0, 0, 1)]).reduce(3)
 
     def test_gl2_order(self):
         assert gl2_order(2) == 6
@@ -85,22 +93,21 @@ class TestResidueMatrixProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 15), min_size=12, max_size=12))
     def test_mul_associative_mod_16(self, vals):
-        x = ResidueMatrix(16, *vals[0:4])
-        y = ResidueMatrix(16, *vals[4:8])
-        z = ResidueMatrix(16, *vals[8:12])
-        assert (x * y) * z == x * (y * z)
+        x, y, z = (P(*vals[i:i + 4]) for i in (0, 4, 8))
+        assert kernels.mul(kernels.mul(x, y, 16), z, 16) == \
+            kernels.mul(x, kernels.mul(y, z, 16), 16)
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 15), min_size=4, max_size=4))
     def test_inverse_is_two_sided_mod_16(self, vals):
-        x = ResidueMatrix(16, *vals)
-        if not x.is_invertible():
+        x = P(*vals)
+        if kernels.det(x, 2) == 0:
             with pytest.raises(ValueError):
-                x.inverse()
+                kernels.inv(x, 16)
             return
-        I = ResidueMatrix.identity(16)
-        assert x * x.inverse() == I
-        assert x.inverse() * x == I
+        xi = kernels.inv(x, 16)
+        assert kernels.mul(x, xi, 16) == I
+        assert kernels.mul(xi, x, 16) == I
 
     def test_det_multiplicative_bulk(self):
         rng = np.random.default_rng(7)
@@ -115,18 +122,14 @@ class TestResidueMatrixProperties:
 
     def test_order_divides_group_order(self):
         rng = np.random.default_rng(11)
-        for _ in range(50):
-            vals = rng.integers(0, 8, size=4)
-            x = ResidueMatrix(8, *(int(v) for v in vals))
-            if not x.is_invertible():
-                continue
-            assert gl2_order(8) % x.order() == 0
+        xs = kernels.pack_array(*rng.integers(0, 8, size=(4, 50)))
+        xs = xs[kernels.det_array(xs, 8) % 2 == 1]
+        assert len(xs) > 10
+        assert (gl2_order(8) % kernels.order_array(xs, 8) == 0).all()
 
 
 class TestReduceHomomorphism:
     def test_reduce_commutes_exhaustively_mod8_to_mod2(self):
-        from minimal2.subgroups import ambient_generators
-
         g8 = kernels.closure(ambient_generators(2, 8), 8)
         assert len(g8) == gl2_order(8)
         xs = np.repeat(g8, 64)
@@ -140,10 +143,9 @@ class TestReduceHomomorphism:
                 == kernels.det_array(lhs, 2)).all()
 
     def test_pack_unpack_roundtrip_over_gl2_mod8(self):
-        from minimal2.subgroups import ambient_generators
-
         g8 = kernels.closure(ambient_generators(2, 8), 8)
         repacked = kernels.pack_array(*kernels.unpack_array(g8))
         assert (repacked == g8).all()
-        x = ResidueMatrix.from_packed(int(g8[137]), 8)
-        assert x.packed() == int(g8[137])
+        x = int(g8[137])
+        assert kernels.pack(*kernels.unpack(x)) == x
+        assert OpenSubgroup(2, 8, [kernels.unpack(x)]).generators == (x,)

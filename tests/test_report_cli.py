@@ -198,6 +198,21 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ValueError" in err and field in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"prime": 2, "modulus": 512, "generators": [[1, 1, 0, 1]]},
+         "modulus 512 is above 256, the largest supported modulus"),
+        ({"prime": 2, "modulus": 256,
+          "generators": [[1, 128, 0, 1], [3, 0, 0, 1], [1, 0, 0, 5]]},
+         "level 256 is above 128, the largest level that can be certified"),
+    ], ids=["modulus-512", "level-256"])
+    def test_check_out_of_scope_group_fails_cleanly(self, tmp_path, capsys,
+                                                    doc, message):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(doc))
+        rc = cli.main(["check", "--group", str(gpath), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: ValueError: {message}\n"
+
     def test_family_check_label(self, capsys):
         rc = cli.main(["family-check", "--label", "16.48.0.25", "--trials",
                        "4", "--primes", "3", "--quiet"])
