@@ -30,11 +30,13 @@ _USE_NUMBA = False
 
 MAX_PACK_MODULUS = 256
 
+ELEMENT_BUDGET = 1 << 25  # elements in the largest closure or lift
+
 IDENTITY = 1 | (1 << 24)
 
 
 class BudgetExceeded(RuntimeError):
-    """A closure or orbit grew past the configured element budget."""
+    """A closure, lift, orbit or table grew past its fixed budget."""
 
 
 def pack(a: int, b: int, c: int, d: int) -> int:
@@ -260,7 +262,7 @@ def is_subset(candidates: np.ndarray, sorted_set: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def closure(gens, m: int, cap: int = 1 << 27, seeds=None) -> np.ndarray:
+def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
     """Sorted packed element array of the subgroup generated by gens mod m.
 
     When seeds is given it must be a subset of the target group; the BFS

@@ -245,13 +245,12 @@ def _det4(cols: list[tuple[int, int, int, int]], mask: int) -> int:
     return total & mask
 
 
-def d_determinant(A: PrecisionMatrix, B: PrecisionMatrix,
-                  residue_bits: int = D_RESIDUE_BITS) -> int:
+def d_determinant(A: PrecisionMatrix, B: PrecisionMatrix) -> int:
     """det of the 4x4 matrix [log A^12 | log B^12 | bracket | double bracket].
 
     A and B must be invertible mod 2.  Their 12th powers are = I mod 4
     (12 is the exponent of GL_2(Z/4)), so the logs are defined; the result
-    is the determinant reduced mod 2^residue_bits, certified correct at
+    is the determinant reduced mod 2^D_RESIDUE_BITS, certified correct at
     that width.
     """
     for M in (A, B):
@@ -264,10 +263,10 @@ def d_determinant(A: PrecisionMatrix, B: PrecisionMatrix,
     br2 = lie_bracket(br, la)
     cols = [la, lb, br, br2]
     e = min(c.effective_precision for c in cols)
-    if e < residue_bits:
+    if e < D_RESIDUE_BITS:
         raise PrecisionError(
             f"only {e} certified bits; raise the working precision")
-    return _det4([c.entries for c in cols], (1 << residue_bits) - 1)
+    return _det4([c.entries for c in cols], (1 << D_RESIDUE_BITS) - 1)
 
 
 @dataclass(frozen=True)
@@ -345,9 +344,8 @@ def lie_check_all_classes(seed: int = 0, max_retries: int = 8,
     return records
 
 
-def log_exp_round_trip(seed: int = 0, count: int = 10_000,
-                       check_bits: int = D_RESIDUE_BITS) -> int:
-    """exp(log(M)) = M mod 2^check_bits for random M = I mod 4.
+def log_exp_round_trip(seed: int = 0, count: int = 10_000) -> int:
+    """exp(log(M)) = M mod 2^D_RESIDUE_BITS for random M = I mod 4.
 
     Returns the number of failures (0 on a correct implementation).
     Entries of (M - I)/4 are drawn uniformly mod 2^(P-2) so the sample
@@ -362,8 +360,8 @@ def log_exp_round_trip(seed: int = 0, count: int = 10_000,
                   for i, v in enumerate(off))
         M = PrecisionMatrix.from_entries(m)
         back = mat_exp(mat_log(M))
-        if back.effective_precision < check_bits:
+        if back.effective_precision < D_RESIDUE_BITS:
             failures += 1
-        elif not back.congruent_to(M, check_bits):
+        elif not back.congruent_to(M, D_RESIDUE_BITS):
             failures += 1
     return failures

@@ -6,13 +6,16 @@ characterization, certified here at a finite modulus:
 
     minimal  <=>  H is pro-2, det(H) is full mod 8, and H has Frattini rank 2.
 
-The finite modulus M = max(8, 2 * level(H)) is exact: once M >= 8 and H
-contains the kernel of reduction mod M/2, every kernel element I + (M/2) A is
-a square of I + (M/4) A' up to a deeper kernel term, so the mod-M congruence
-kernel lies inside the closure of the squares and hence inside the Frattini
-subgroup.  The Frattini quotient of the mod-M image therefore equals the
-Frattini quotient of the open group, and rank / maximal-subgroup questions
-are decided exactly.
+The certifying modulus M (``certifying_modulus``: twice the level, and at
+least 8) is exact: once M >= 8 and H contains the kernel of reduction mod
+M/2, every kernel element I + (M/2) A is a square of I + (M/4) A' up to a
+deeper kernel term, so the mod-M congruence kernel lies inside the closure
+of the squares and hence inside the Frattini subgroup.  The Frattini
+quotient of the mod-M image therefore equals the Frattini quotient of the
+open group, and rank / maximal-subgroup questions are decided exactly.
+
+The maximal subgroups are the hyperplanes of the Frattini quotient, and
+``_hyperplane_det_images`` reads their det images mod 8 off its basis.
 
 Determinant fullness reduces to fullness mod 8 because any unit d = 3 (mod 8)
 has d^2 - 1 = 8 * odd, so d^2 topologically generates 1 + 8 Z_2; the same
@@ -41,7 +44,6 @@ from .modcurve import GenusData, genus
 from .modmat import gl2_order
 from .smallgroups import FiniteGroupTable
 from .subgroups import (
-    DEFAULT_ELEMENT_BUDGET,
     FrattiniQuotient,
     OpenSubgroup,
     UNIT_RESIDUES_MOD_8,
@@ -66,16 +68,18 @@ SYLOW_PRO2_GENERATORS = (
 )
 
 # The three index-2 subgroups of (Z/8)^*, as determinant images of the three
-# maximal subgroups of a minimal group.
+# maximal subgroups of a minimal group, in sorted(..., key=sorted) order.
 INDEX2_DET_IMAGES = (frozenset({1, 3}), frozenset({1, 5}), frozenset({1, 7}))
 
-_DET_CLASS_BITS = {1: 0, 3: 1, 5: 2, 7: 3}
+
+def certifying_modulus(level: int) -> int:
+    """The modulus at which minimality of a group of this level is decided."""
+    return max(8, 2 * level)
 
 
-def sylow_pro2_subgroup(element_budget: int = DEFAULT_ELEMENT_BUDGET) -> OpenSubgroup:
+def sylow_pro2_subgroup() -> OpenSubgroup:
     """The pro-2 Sylow subgroup of GL_2(Z_2), modeled mod 8."""
-    syl = OpenSubgroup(2, 8, list(SYLOW_PRO2_GENERATORS),
-                       element_budget=element_budget)
+    syl = OpenSubgroup(2, 8, list(SYLOW_PRO2_GENERATORS))
     if syl.order() != 512 or syl.index_in_ambient() != 3 or syl.level() != 2:
         raise AssertionError("Sylow model is wrong")
     return syl
@@ -102,40 +106,23 @@ class MinimalityReport:
         return d
 
 
-def _det_class_vector(x: int, modulus: int) -> int:
-    """Determinant of a packed matrix as a 2-bit vector over (Z/8)^*."""
-    return _DET_CLASS_BITS[kernels.det(x, modulus) % 8]
+def _hyperplane_det_images(fq: FrattiniQuotient, modulus: int) -> list[frozenset[int]]:
+    """det images mod 8 of the hyperplane subgroups ker(mu), at index mu - 1.
 
-
-def _basis_det_classes(fq: FrattiniQuotient, modulus: int) -> list[int]:
-    return [_det_class_vector(b, modulus) for b in fq.basis]
-
-
-def _hyperplane_det_class_span(mu: int, det_classes: list[int]) -> frozenset[int]:
-    """Span of the determinant classes over the hyperplane ker(mu)."""
-    r = len(det_classes)
-    t = (mu & -mu).bit_length() - 1
-    span = {0}
-    for j in range(r):
-        if j == t:
-            continue
-        v = det_classes[j]
-        if (mu >> j) & 1:
-            v ^= det_classes[t]
-        span |= {s ^ v for s in span}
-    return frozenset(span)
-
-_FULL_CLASS_SPAN = frozenset({0, 1, 2, 3})
-
-
-def _maximal_det_images(fq: FrattiniQuotient, modulus: int) -> list[frozenset[int]]:
-    """det images mod 8 of the index-2 subgroups, from basis classes alone."""
-    classes = _basis_det_classes(fq, modulus)
-    bits = {0: 1, 1: 3, 2: 5, 3: 7}
+    Squares have det 1 mod 8, so det kills Phi(H) mod 8 and the image of
+    ker(mu) is generated by the dets of b_j (mu_j = 0) and of b_j b_t
+    (mu_j = 1), where t is the lowest set bit of mu.
+    """
+    dets = [kernels.det(b, modulus) % 8 for b in fq.basis]
     images = []
     for mu in range(1, 1 << fq.rank):
-        span = _hyperplane_det_class_span(mu, classes)
-        images.append(frozenset(bits[v] for v in span))
+        t = (mu & -mu).bit_length() - 1
+        image = {1}
+        for j, d in enumerate(dets):
+            if j != t:
+                g = d * dets[t] % 8 if (mu >> j) & 1 else d
+                image |= {x * g % 8 for x in image}
+        images.append(frozenset(image))
     return images
 
 
@@ -143,21 +130,17 @@ def _model_at(H: OpenSubgroup, modulus: int) -> OpenSubgroup:
     """The same open group modeled at another faithful modulus."""
     if H.modulus == modulus:
         return H
-    out = H.lift(modulus) if H.modulus < modulus else H.reduce(modulus)
-    out._level = H._level
-    return out
+    return H.lift(modulus) if H.modulus < modulus else H.reduce(modulus)
 
 
 def maximal_determinant_images(H: OpenSubgroup) -> list[frozenset[int]]:
     """det images mod 8 of the maximal (index-2) subgroups of a pro-2 group.
 
-    Computed at the certifying modulus max(8, 2 * level).  For a minimal
-    group these are the three proper index-2 subgroups of (Z/8)^*, each
-    realized exactly once.
+    Computed at the certifying modulus.  For a minimal group these are the
+    three proper index-2 subgroups of (Z/8)^*, each realized exactly once.
     """
-    HM = _model_at(H, max(8, 2 * H.level()))
-    fq = HM.frattini_quotient(verify=False)
-    return _maximal_det_images(fq, HM.modulus)
+    HM = _model_at(H, certifying_modulus(H.level()))
+    return _hyperplane_det_images(HM.frattini_quotient(verify=False), HM.modulus)
 
 
 def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
@@ -170,8 +153,8 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
     elems = HM.elements
     if len(elems) > 1 << 14:
         raise kernels.BudgetExceeded("witness search refused above 2^14 elements")
-    syl = sylow_subgroup(elems, HM.modulus, 2, HM.element_budget)
-    gens, _ = _greedy_generators(syl, HM.modulus, HM.element_budget)
+    syl = sylow_subgroup(elems, HM.modulus, 2)
+    gens, _ = _greedy_generators(syl, HM.modulus)
     current = syl
     grew = True
     while grew:
@@ -192,11 +175,10 @@ def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
 def _det_full_hyperplane_witness(HM: OpenSubgroup,
                                  fq: FrattiniQuotient) -> OpenSubgroup:
     """An index-2 subgroup with full determinant (exists when rank >= 3)."""
-    classes = _basis_det_classes(fq, HM.modulus)
-    for mu in range(1, 1 << fq.rank):
-        if _hyperplane_det_class_span(mu, classes) == _FULL_CLASS_SPAN:
-            return HM.index2_subgroups(verify=False)[mu - 1]
-    raise AssertionError("rank >= 3 group without det-full hyperplane")
+    images = _hyperplane_det_images(fq, HM.modulus)
+    if UNIT_RESIDUES_MOD_8 not in images:
+        raise AssertionError("rank >= 3 group without det-full hyperplane")
+    return HM.index2_subgroups(verify=False)[images.index(UNIT_RESIDUES_MOD_8)]
 
 
 def _core_minimality(HM: OpenSubgroup, want_witness: bool):
@@ -231,8 +213,8 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
             raise AssertionError("det-full 2-group with Frattini rank < 2")
         if rank == 2:
             verdict = True
-            images = _maximal_det_images(fq, HM.modulus)
-            if sorted(images, key=sorted) != sorted(INDEX2_DET_IMAGES, key=sorted):
+            images = _hyperplane_det_images(fq, HM.modulus)
+            if tuple(sorted(images, key=sorted)) != INDEX2_DET_IMAGES:
                 raise AssertionError("maximal det images are not the three "
                                      "index-2 unit subgroups")
             witnesses = {
@@ -253,18 +235,18 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
     return verdict, two_group, det_full, rank, witnesses
 
 
-def is_minimal(H: OpenSubgroup, *, _recheck: bool = True) -> MinimalityReport:
+def is_minimal(H: OpenSubgroup) -> MinimalityReport:
     """Decide minimality of the open subgroup represented by H.
 
-    The check runs at the certifying modulus M = max(8, 2 * level(H)), so the
-    level can be at most half the largest packed modulus.  For level <= 2
-    the whole check is repeated at 2M and the agreement recorded, as a guard
-    on the modulus argument in the cheapest regime where that costs nothing.
+    The check runs at the certifying modulus M, so the level can be at most
+    half the largest packed modulus.  For level <= 2 the whole check is
+    repeated at 2M and the agreement recorded, as a guard on the modulus
+    argument in the cheapest regime where that costs nothing.
     """
     if H.prime != 2:
         raise ValueError("minimality is defined for subgroups of GL_2(Z_2)")
     lvl = H.level()
-    cert = max(8, 2 * lvl)
+    cert = certifying_modulus(lvl)
     if cert > kernels.MAX_PACK_MODULUS:
         raise ValueError(f"level {lvl} is above "
                          f"{kernels.MAX_PACK_MODULUS // 2}, the largest level "
@@ -273,7 +255,7 @@ def is_minimal(H: OpenSubgroup, *, _recheck: bool = True) -> MinimalityReport:
     verdict, two_group, det_full, rank, witnesses = _core_minimality(HM, True)
 
     sanity = None
-    if _recheck and lvl <= 2:
+    if lvl <= 2:
         v2, _, _, r2, _ = _core_minimality(_model_at(H, 2 * cert), False)
         if v2 != verdict or r2 != rank:
             raise AssertionError("sanity recheck at doubled modulus disagrees")
@@ -345,7 +327,6 @@ def check_census_bounds(level_bound: int, index_bound: int) -> None:
 
 def census(level_bound: int = 64, index_bound: int = 96,
            genus_filter: Optional[int] = None, *,
-           element_budget: int = DEFAULT_ELEMENT_BUDGET,
            progress: Optional[Callable[[str], None]] = None) -> list[CensusEntry]:
     """All conjugacy classes of minimal subgroups within the given bounds.
 
@@ -368,7 +349,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
     entries: list[CensusEntry] = []
     seen: set[bytes] = set()
     nodes = 0
-    syl = sylow_pro2_subgroup(element_budget)
+    syl = sylow_pro2_subgroup()
     root = _level_model(*_level_and_image(syl.elements, syl.modulus, 2))
     stack = [(root.own_digest(), root, syl)]
 
@@ -384,7 +365,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                          f"stack {len(stack)}")
 
             lvl, idx = HL.modulus, H.index_in_ambient()
-            HM = _model_at(H, max(8, 2 * lvl))
+            HM = _model_at(H, certifying_modulus(lvl))
             fq = HM.frattini_quotient(verify=False)
             if fq.rank == 2:
                 entries.append(_make_entry(HM, HL, idx, fq))
@@ -393,9 +374,9 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 raise AssertionError("det-full 2-group with rank < 2")
             if 2 * idx > index_bound:
                 continue
-            det_classes = _basis_det_classes(fq, HM.modulus)
+            images = _hyperplane_det_images(fq, HM.modulus)
             for mu in range(1, 1 << fq.rank):
-                if _hyperplane_det_class_span(mu, det_classes) != _FULL_CLASS_SPAN:
+                if images[mu - 1] != UNIT_RESIDUES_MOD_8:
                     continue
                 child_elems = HM.elements[fq.hyperplane_mask(mu)]
                 found = _level_and_image(child_elems, HM.modulus, 2, lvl,
@@ -407,9 +388,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if child_digest in seen:
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
-                child = OpenSubgroup(2, HM.modulus, gens,
-                                     _elements=child_elems,
-                                     element_budget=element_budget)
+                child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems)
                 child._level = CL.modulus
                 stack.append((child_digest, CL, child))
     except kernels.BudgetExceeded as exc:
@@ -418,8 +397,8 @@ def census(level_bound: int = 64, index_bound: int = 96,
         raise CensusBudgetError(str(exc), entries, nodes) from exc
 
     for e in entries:
-        rep = is_minimal(e.subgroup(), _recheck=False)
-        if not rep.verdict or rep.certifying_modulus != max(8, 2 * e.level):
+        rep = is_minimal(e.subgroup())
+        if not rep.verdict or rep.certifying_modulus != certifying_modulus(e.level):
             raise AssertionError("census entry failed independent recheck")
 
     if genus_filter is not None:

@@ -72,8 +72,7 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
     minus = kernels.neg(kernels.IDENTITY, m)
     elems = kernels.unique(
         np.concatenate([G.elements, kernels.neg_array(G.elements, m)]))
-    return OpenSubgroup(G.prime, m, [*G.generators, minus],
-                        _elements=elems, element_budget=G.element_budget)
+    return OpenSubgroup(G.prime, m, [*G.generators, minus], _elements=elems)
 
 
 @lru_cache(maxsize=None)

@@ -15,9 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from . import ellcurve
-from . import modcurve
-from . import lie2adic, minimality
+from . import ellcurve, kernels, lie2adic, minimality, modcurve
 from .subgroups import OpenSubgroup, ambient_generators
 
 SCHEMA_VERSION = 1
@@ -246,7 +244,6 @@ EXPECTED_EXTENDED_COUNT = 7652
 # The 7652 classes are counted with no index cap; 1 << 30 is past any index
 # a level-128 group can have.
 EXTENDED_INDEX_BOUND = 1 << 30
-DET_IMAGE_TRIPLE = [frozenset({1, 3}), frozenset({1, 5}), frozenset({1, 7})]
 
 
 def _criterion_unit_square_lemma(config, progress):
@@ -303,14 +300,19 @@ def _criterion_genus0_census(entries):
 
 
 def _criterion_frattini_rank(entries):
-    checked = 0
+    """Rank 2 at the certifying modulus, and the maximal subgroups' det images
+    over all their elements equal maximal_determinant_images and the triple."""
     ok = True
     for e in entries:
         H = e.subgroup()
-        images = minimality.maximal_determinant_images(H)
-        ok &= sorted(images, key=sorted) == DET_IMAGE_TRIPLE
-        checked += 1
-    return {"entries_checked": checked}, bool(ok)
+        HM = minimality._model_at(H, minimality.certifying_modulus(H.level()))
+        fq = HM.frattini_quotient()
+        images = [kernels.det_image(HM.elements[fq.hyperplane_mask(mu)],
+                                    HM.modulus, 8) for mu in range(1, 1 << fq.rank)]
+        ok &= (fq.rank == 2
+               and images == minimality.maximal_determinant_images(H)
+               and tuple(sorted(images, key=sorted)) == minimality.INDEX2_DET_IMAGES)
+    return {"entries_checked": len(entries)}, bool(ok)
 
 
 def _criterion_lie_check(config, progress):

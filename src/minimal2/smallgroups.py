@@ -22,13 +22,15 @@ from . import kernels
 from .modmat import _prime_factors
 from .subgroups import ORBIT_BUDGET
 
+TABLE_BUDGET = 8192  # elements in the largest table
+
 
 class FiniteGroupTable:
     """Multiplication table of a group of packed matrices mod m."""
 
     def __init__(self, elements: np.ndarray, modulus: int, generator_indices=None):
         n = len(elements)
-        if n > 8192:
+        if n > TABLE_BUDGET:
             raise kernels.BudgetExceeded(f"table for {n} elements refused")
         self.elements = elements
         self.modulus = modulus
@@ -53,7 +55,7 @@ class FiniteGroupTable:
 
     @classmethod
     def from_generators(cls, gens_packed, modulus: int) -> "FiniteGroupTable":
-        elems = kernels.closure(list(gens_packed), modulus, cap=8192)
+        elems = kernels.closure(list(gens_packed), modulus, cap=TABLE_BUDGET)
         gen_idx = [int(np.searchsorted(elems, g)) for g in gens_packed]
         return cls(elems, modulus, generator_indices=gen_idx)
 

@@ -29,7 +29,6 @@ import numpy as np
 from . import kernels
 from .modmat import _prime_factors, _prime_power, gl2_order
 
-DEFAULT_ELEMENT_BUDGET = 1 << 25
 # An orbit is never larger than the index, so this binds only on groups of
 # index above 4096.
 ORBIT_BUDGET = 4096
@@ -95,7 +94,7 @@ def _positions(elements: np.ndarray, xs: np.ndarray, missing: str) -> np.ndarray
     return pos
 
 
-def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
+def _frattini_layers(elements: np.ndarray, modulus: int):
     """Basis and coordinates of H/Phi(H) for the 2-group with these elements.
 
     Phi is grown from the squares one missing square at a time.  Basis
@@ -104,7 +103,7 @@ def _frattini_layers(elements: np.ndarray, modulus: int, budget: int):
     (packed basis elements, uint32 coordinate array).
     """
     squares = kernels.unique(kernels.square_array(elements, modulus))
-    _, phi = _greedy_generators(squares, modulus, budget)
+    _, phi = _greedy_generators(squares, modulus)
     labelled = np.zeros(len(elements), dtype=bool)
     labelled[_positions(elements, phi, "Phi(H) is not inside the element set")] = True
     coords = np.zeros(len(elements), dtype=np.uint32)
@@ -170,8 +169,7 @@ class OpenSubgroup:
     and ``generators`` holds the packed results.
     """
 
-    def __init__(self, prime: int, modulus: int, generators, _elements=None,
-                 element_budget: int = DEFAULT_ELEMENT_BUDGET):
+    def __init__(self, prime: int, modulus: int, generators, _elements=None):
         p, _ = _prime_power(modulus)
         if p != prime:
             raise ValueError(f"modulus {modulus} is not a power of {prime}")
@@ -192,7 +190,6 @@ class OpenSubgroup:
         self.prime = prime
         self.modulus = modulus
         self.generators: tuple[int, ...] = tuple(gens)
-        self.element_budget = element_budget
         self._elements = _elements
         self._level: int | None = None
         self._fq: FrattiniQuotient | None = None
@@ -203,8 +200,7 @@ class OpenSubgroup:
     @property
     def elements(self) -> np.ndarray:
         if self._elements is None:
-            self._elements = kernels.closure(
-                self.generators, self.modulus, cap=self.element_budget)
+            self._elements = kernels.closure(self.generators, self.modulus)
         return self._elements
 
     def order(self) -> int:
@@ -237,18 +233,19 @@ class OpenSubgroup:
         return self._level
 
     def reduce(self, m2: int) -> "OpenSubgroup":
-        """Image mod m2.  Denotes the same open group only when level | m2."""
+        """Image mod m2: the same open group, with the same level, when level | m2."""
         if m2 < 2 or self.modulus % m2 != 0:
             raise ValueError(f"{m2} does not divide modulus {self.modulus}")
         elems = None
         if self._elements is not None:
             elems = kernels.unique(kernels.reduce_array(self._elements, m2))
-        return OpenSubgroup(
-            self.prime, m2, self.generators,
-            _elements=elems, element_budget=self.element_budget)
+        out = OpenSubgroup(self.prime, m2, self.generators, _elements=elems)
+        if self._level is not None and m2 % self._level == 0:
+            out._level = self._level
+        return out
 
     def lift(self, m2: int) -> "OpenSubgroup":
-        """Full preimage at the larger modulus m2: the same open group."""
+        """Full preimage at the larger modulus m2: the same open group and level."""
         if m2 % self.modulus != 0:
             raise ValueError(f"{self.modulus} does not divide {m2}")
         if m2 == self.modulus:
@@ -264,12 +261,14 @@ class OpenSubgroup:
         elems = None
         if self._elements is not None:
             ratio4 = (m2 // m) ** 4
-            if len(self._elements) * ratio4 > self.element_budget:
+            if len(self._elements) * ratio4 > kernels.ELEMENT_BUDGET:
                 raise kernels.BudgetExceeded(
                     f"lift to modulus {m2} exceeds the element budget")
             elems = kernels.lift_array(self._elements, m, m2)
-        return OpenSubgroup(self.prime, m2, [*self.generators, *kernel_gens],
-                            _elements=elems, element_budget=self.element_budget)
+        out = OpenSubgroup(self.prime, m2, [*self.generators, *kernel_gens],
+                           _elements=elems)
+        out._level = self._level
+        return out
 
     # -- determinant ------------------------------------------------------------
 
@@ -295,8 +294,7 @@ class OpenSubgroup:
             if not self.is_two_group():
                 raise ValueError("Frattini quotient implemented for 2-groups only")
             elements = self.elements
-            basis_packed, coords = _frattini_layers(
-                elements, self.modulus, self.element_budget)
+            basis_packed, coords = _frattini_layers(elements, self.modulus)
             rank = len(basis_packed)
             gens = np.array(self.generators, dtype=np.int64)
             missing = "generators do not generate the element set"
@@ -349,8 +347,7 @@ class OpenSubgroup:
             gens = schreier_generators(fq, self.generators, mu)
             out.append(OpenSubgroup(
                 self.prime, m, gens,
-                _elements=self.elements[fq.hyperplane_mask(mu)],
-                element_budget=self.element_budget))
+                _elements=self.elements[fq.hyperplane_mask(mu)]))
         return out
 
     # -- nilpotency ---------------------------------------------------------------
@@ -359,7 +356,7 @@ class OpenSubgroup:
         """Element set of the normal closure in H of <seeds>."""
         m = self.modulus
         ncl_gens = sorted(set(seeds))
-        current = kernels.closure(ncl_gens, m, cap=self.element_budget)
+        current = kernels.closure(ncl_gens, m)
         stable = False
         while not stable:
             stable = True
@@ -367,8 +364,7 @@ class OpenSubgroup:
                 conj = kernels.conjugate_set(current, g, m)
                 if not kernels.is_subset(conj, current):
                     ncl_gens = sorted(set(ncl_gens) | {int(v) for v in conj})
-                    current = kernels.closure(ncl_gens, m,
-                                              cap=self.element_budget)
+                    current = kernels.closure(ncl_gens, m)
                     stable = False
         return current
 
@@ -392,7 +388,7 @@ class OpenSubgroup:
                 return False
             layer = nxt
             layer_gens = ([int(v) for v in nxt] if len(nxt) <= 128 else
-                          _greedy_generators(nxt, m, self.element_budget)[0])
+                          _greedy_generators(nxt, m)[0])
 
     # -- conjugacy -------------------------------------------------------------------
 
@@ -503,8 +499,7 @@ def _primitive_root(p: int, modulus: int) -> int:
     raise AssertionError("no primitive root found")
 
 
-def _greedy_generators(targets: np.ndarray, m: int,
-                       budget: int) -> tuple[list[int], np.ndarray]:
+def _greedy_generators(targets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
     """Generators picked greedily, the first missing target each time, until
     their closure contains every target; returns (generators, closure)."""
     gens: list[int] = []
@@ -514,11 +509,10 @@ def _greedy_generators(targets: np.ndarray, m: int,
         if not missing.size:
             return gens, current
         gens.append(int(missing[0]))
-        current = kernels.closure(gens, m, cap=budget, seeds=current)
+        current = kernels.closure(gens, m, seeds=current)
 
 
-def sylow_subgroup(elements: np.ndarray, m: int, q: int,
-                   budget: int = DEFAULT_ELEMENT_BUDGET) -> np.ndarray:
+def sylow_subgroup(elements: np.ndarray, m: int, q: int) -> np.ndarray:
     """A Sylow q-subgroup of the group with the given sorted element set.
 
     Greedy growth is complete: a q-subgroup that is not Sylow admits a
@@ -537,7 +531,7 @@ def sylow_subgroup(elements: np.ndarray, m: int, q: int,
             xi = int(x)
             if kernels.contains(current, xi):
                 continue
-            cand = kernels.closure(gens + [xi], m, cap=budget)
+            cand = kernels.closure(gens + [xi], m)
             if target % len(cand) == 0:
                 gens.append(xi)
                 current = cand

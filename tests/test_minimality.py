@@ -150,9 +150,12 @@ class TestCensus:
         H = e.subgroup()
         assert H.modulus == e.modulus
 
-    def test_budget_error_carries_progress(self):
+    def test_budget_error_carries_progress(self, monkeypatch):
+        # the lift bound reads the budget at call time: the first lift of a
+        # level-8 node to its certifying modulus 16 passes it
+        monkeypatch.setattr(kernels, "ELEMENT_BUDGET", 1000)
         with pytest.raises(CensusBudgetError) as exc:
-            minimality.census(8, 96, element_budget=1000)
+            minimality.census(8, 96)
         assert isinstance(exc.value, kernels.BudgetExceeded)
         assert exc.value.partial_entries == []
 
@@ -213,12 +216,11 @@ def _pop_time_census_nodes(level_bound, index_bound):
     earlier pop-time path: every child is pushed once it passes the level
     bound, and its level, reduction and digest are computed when popped."""
     from minimal2.minimality import (
-        _FULL_CLASS_SPAN,
-        _basis_det_classes,
-        _hyperplane_det_class_span,
+        _hyperplane_det_images,
         _model_at,
+        certifying_modulus,
     )
-    from minimal2.subgroups import schreier_generators
+    from minimal2.subgroups import UNIT_RESIDUES_MOD_8, schreier_generators
 
     seen, kept = set(), []
     stack = [sylow_pro2_subgroup()]
@@ -231,13 +233,13 @@ def _pop_time_census_nodes(level_bound, index_bound):
             continue
         seen.update(HL.conjugacy_digests())
         kept.append((lvl, HL.own_digest()))
-        HM = _model_at(H, max(8, 2 * lvl))
+        HM = _model_at(H, certifying_modulus(lvl))
         fq = HM.frattini_quotient(verify=False)
         if fq.rank == 2 or 2 * idx > index_bound:
             continue
-        classes = _basis_det_classes(fq, HM.modulus)
+        images = _hyperplane_det_images(fq, HM.modulus)
         for mu in range(1, 1 << fq.rank):
-            if _hyperplane_det_class_span(mu, classes) != _FULL_CLASS_SPAN:
+            if images[mu - 1] != UNIT_RESIDUES_MOD_8:
                 continue
             gens = schreier_generators(fq, fq.basis, mu)
             child = OpenSubgroup(2, HM.modulus, [kernels.unpack(g) for g in gens],
@@ -247,25 +249,63 @@ def _pop_time_census_nodes(level_bound, index_bound):
     return kept
 
 
-class TestCensusChildLevels:
-    def test_child_levels_and_digests_match_the_pop_time_path(self, monkeypatch):
-        popped, kept = [], []
-        model_at = minimality._model_at
-        digests = OpenSubgroup.conjugacy_digests
+@pytest.fixture(scope="module")
+def traced_census_16_24():
+    """census(16, 24) with its models recorded: every group passed to
+    _model_at with the model returned, and (level, own digest) of every
+    kept node."""
+    popped, models, kept = [], [], []
+    model_at = minimality._model_at
+    digests = OpenSubgroup.conjugacy_digests
 
-        def record_model_at(H, modulus):
-            popped.append(H)
-            return model_at(H, modulus)
+    def record_model_at(H, modulus):
+        popped.append(H)
+        models.append(model_at(H, modulus))
+        return models[-1]
 
-        def record_digests(self):
-            kept.append((self.level(), self.own_digest()))
-            return digests(self)
+    def record_digests(self):
+        kept.append((self.level(), self.own_digest()))
+        return digests(self)
 
-        monkeypatch.setattr(minimality, "_model_at", record_model_at)
-        monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", record_digests)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(minimality, "_model_at", record_model_at)
+        mp.setattr(OpenSubgroup, "conjugacy_digests", record_digests)
         entries = minimality.census(16, 24)
-        monkeypatch.undo()
+    return entries, popped, models, kept
 
+
+class TestHyperplaneDetImages:
+    """The det images read off the Frattini basis, against the det image of
+    every hyperplane subgroup's whole element set."""
+
+    def _check(self, HM):
+        """Compare the two on every hyperplane of HM; return its rank."""
+        fq = HM.frattini_quotient(verify=False)
+        brute = [kernels.det_image(HM.elements[fq.hyperplane_mask(mu)], HM.modulus, 8)
+                 for mu in range(1, 1 << fq.rank)]
+        assert minimality._hyperplane_det_images(fq, HM.modulus) == brute
+        return fq.rank
+
+    def test_mod8_sylow(self):
+        assert self._check(sylow_pro2_subgroup()) == 4
+
+    def test_level8_diagonal_group_at_its_certifying_modulus(self):
+        S = closure([(3, 0, 0, 1), (5, 0, 0, 1)], 8)
+        HM = minimality._model_at(S, minimality.certifying_modulus(S.level()))
+        assert HM.modulus == 16
+        assert self._check(HM) == 5
+
+    def test_every_census_node(self, traced_census_16_24):
+        _, _, models, _ = traced_census_16_24
+        ranks = [self._check(HM) for HM in models]
+        assert len(ranks) > 100
+        assert max(ranks) >= 3 and min(ranks) == 2
+
+
+class TestCensusChildLevels:
+    def test_child_levels_and_digests_match_the_pop_time_path(
+            self, traced_census_16_24):
+        entries, popped, _, kept = traced_census_16_24
         assert len(entries) == 4
         assert len(kept) > 100
         # every popped node's level, set by the child path, against a fresh

@@ -130,6 +130,28 @@ class TestReduceLift:
         assert H.lift(8).order() == sylow8().order() == 512
         assert H.lift(8).det_surjective_2adic() is True
 
+    def test_lift_keeps_a_known_level(self):
+        for H in (sylow8(), rank3_group(), closure([D31, D51], 8)):
+            assert H.lift(16)._level is None  # nothing known, nothing kept
+            lvl = H.level()
+            for m2 in (16, 32):
+                up = H.lift(m2)
+                assert up._level == lvl
+                # a fresh group from the lifted generators agrees
+                assert OpenSubgroup(2, m2, up.generators).level() == lvl
+
+    def test_reduce_keeps_the_level_only_when_it_divides(self):
+        H = closure([D31, D51], 8).lift(32)
+        assert H.level() == 8
+        for m2 in (16, 8):
+            down = H.reduce(m2)
+            assert down._level == 8
+            assert OpenSubgroup(2, m2, down.generators).level() == 8
+        # below the level the image is another group, with its own level
+        low = H.reduce(4)
+        assert low._level is None
+        assert low.level() == OpenSubgroup(2, 4, low.generators).level() == 4
+
 
 def det_image8(H):
     return kernels.det_image(H.elements, H.modulus, 8)
