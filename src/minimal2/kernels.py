@@ -251,12 +251,6 @@ def in_sorted(xs: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == xs
 
 
-def is_subset(candidates: np.ndarray, sorted_set: np.ndarray) -> bool:
-    if candidates.size == 0:
-        return True
-    return bool(in_sorted(candidates, sorted_set).all())
-
-
 # ---------------------------------------------------------------------------
 # breadth-first closure
 # ---------------------------------------------------------------------------

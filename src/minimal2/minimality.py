@@ -15,7 +15,10 @@ quotient of the mod-M image therefore equals the Frattini quotient of the
 open group, and rank / maximal-subgroup questions are decided exactly.
 
 The maximal subgroups are the hyperplanes of the Frattini quotient, and
-``_hyperplane_det_images`` reads their det images mod 8 off its basis.
+``_hyperplane_det_images`` reads their det images mod 8 off its basis.  A
+det-full group that is not pro-2 is never minimal: |GL_2(Z/2^k)| =
+3 * 2^(4k-3), so its Sylow 2-subgroup (``_index3_sylow``) has index 3, which
+makes it maximal, and odd index, which keeps the full determinant.
 
 Determinant fullness reduces to fullness mod 8 because any unit d = 3 (mod 8)
 has d^2 - 1 = 8 * odd, so d^2 topologically generates 1 + 8 Z_2; the same
@@ -143,33 +146,27 @@ def maximal_determinant_images(H: OpenSubgroup) -> list[frozenset[int]]:
     return _hyperplane_det_images(HM.frattini_quotient(verify=False), HM.modulus)
 
 
-def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
-    """A maximal subgroup of a det-full non-2-group with full determinant.
+def _index3_sylow(elements: np.ndarray, modulus: int) -> np.ndarray:
+    """Sylow 2-subgroup of a non-2-group H <= GL_2(Z/2^k), as an element set.
 
-    Grown upward from a Sylow 2-subgroup: its index is odd, so its det image
-    inside the 2-group (Z/8)^* already equals det(HM), and every extension
-    preserves that.
+    |GL_2(Z/2^k)| = 3 * 2^(4k-3), so it has index 3 in H, which makes it
+    maximal; the index is odd, so its det image mod 8 is det(H) mod 8.
+    Both facts are asserted.
     """
-    elems = HM.elements
-    if len(elems) > 1 << 14:
-        raise kernels.BudgetExceeded("witness search refused above 2^14 elements")
-    syl = sylow_subgroup(elems, HM.modulus, 2)
+    syl = sylow_subgroup(elements, modulus, 2)
+    if 3 * len(syl) != len(elements):
+        raise AssertionError("Sylow 2-subgroup does not have index 3")
+    if kernels.det_image(syl, modulus, 8) != kernels.det_image(elements, modulus, 8):
+        raise AssertionError("odd-index Sylow lost determinant image")
+    return syl
+
+
+def _full_det_maximal_witness(HM: OpenSubgroup) -> OpenSubgroup:
+    """A maximal subgroup of a det-full non-2-group with full determinant:
+    its index-3 Sylow 2-subgroup."""
+    syl = _index3_sylow(HM.elements, HM.modulus)
     gens, _ = _greedy_generators(syl, HM.modulus)
-    current = syl
-    grew = True
-    while grew:
-        grew = False
-        outside = elems[~kernels.in_sorted(elems, current)]
-        for x in outside:
-            cand = kernels.closure(gens + [int(x)], HM.modulus)
-            if len(cand) < len(elems):
-                gens = gens + [int(x)]
-                current = cand
-                grew = True
-                break
-    if kernels.det_image(current, HM.modulus, 8) != UNIT_RESIDUES_MOD_8:
-        raise AssertionError("Sylow-grown maximal lost determinant fullness")
-    return OpenSubgroup(2, HM.modulus, gens, _elements=current)
+    return OpenSubgroup(2, HM.modulus, gens, _elements=syl)
 
 
 def _det_full_hyperplane_witness(HM: OpenSubgroup,
@@ -178,7 +175,7 @@ def _det_full_hyperplane_witness(HM: OpenSubgroup,
     images = _hyperplane_det_images(fq, HM.modulus)
     if UNIT_RESIDUES_MOD_8 not in images:
         raise AssertionError("rank >= 3 group without det-full hyperplane")
-    return HM.index2_subgroups(verify=False)[images.index(UNIT_RESIDUES_MOD_8)]
+    return HM.index2_subgroups()[images.index(UNIT_RESIDUES_MOD_8)]
 
 
 def _core_minimality(HM: OpenSubgroup, want_witness: bool):
@@ -481,6 +478,7 @@ def verify_non_two_group_witness(progress: Optional[Callable[[str], None]] = Non
     element covers all non-2-groups up to conjugacy.  |GL_2(Z/8)| = 2^9 * 3,
     so a Sylow 2-subgroup of any non-2-group H has index 3 in H: it is
     maximal outright, and its odd index forces det(Syl_2) = det(H).
+    ``_index3_sylow`` asserts both on every det-full class.
     """
     table = FiniteGroupTable.from_generators(ambient_generators(2, 8), 8)
     if table.n != gl2_order(8):
@@ -494,11 +492,7 @@ def verify_non_two_group_witness(progress: Optional[Callable[[str], None]] = Non
             raise AssertionError("enumeration leaked a 2-group")
         if kernels.det_image(table.elements[sub], 8, 8) != UNIT_RESIDUES_MOD_8:
             continue
-        syl = sylow_subgroup(table.elements[sub], 8, 2)
-        if 3 * len(syl) != len(sub):
-            raise AssertionError("Sylow 2-subgroup does not have index 3")
-        if kernels.det_image(syl, 8, 8) != UNIT_RESIDUES_MOD_8:
-            raise AssertionError("odd-index Sylow lost determinant fullness")
+        _index3_sylow(table.elements[sub], 8)
         checked += 1
         if progress and checked % 50 == 0:
             progress(f"witness sweep: {checked} det-full classes checked")
@@ -547,9 +541,9 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
 
     For every subgroup class of GL_2(F_p) with surjective determinant, the
     full level-p^2 preimage contains a proper open subgroup whose determinant
-    is already surjective mod p^2 (hence 2-adically... p-adically full, since
-    a subgroup of Z_p^* full mod p^2 is full for odd p).  The witness is
-    cyclic: a single matrix whose determinant has the maximal order p(p-1).
+    is already surjective mod p^2 (hence p-adically full, since a subgroup of
+    Z_p^* full mod p^2 is full for odd p).  The witness is cyclic: a single
+    matrix whose determinant has the maximal order p(p-1).
     Failure to find one would falsify the expectation and aborts loudly.
     """
     if p not in (3, 5):

@@ -69,6 +69,8 @@ class RunConfig:
             raise ValueError("prime must be 3 or 5")
         if self.profile not in ("desk", "extended"):
             raise ValueError("profile must be 'desk' or 'extended'")
+        if self.csv_path and self.command != "census":
+            raise ValueError("CSV export is only defined for the census")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -424,8 +426,6 @@ def run(config: RunConfig, progress: Progress = None) -> Report:
     if config.out_path:
         report.write(config.out_path)
     if config.csv_path:
-        if config.command != "census":
-            raise ValueError("CSV export is only defined for the census")
         with open(config.csv_path, "w") as f:
             f.write(census_csv(payload))
     return report

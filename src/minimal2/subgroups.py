@@ -338,9 +338,9 @@ class OpenSubgroup:
         if n_phi << fq.rank != len(elements):
             raise AssertionError("Phi index does not match the rank")
 
-    def index2_subgroups(self, verify: bool | None = None) -> list["OpenSubgroup"]:
+    def index2_subgroups(self) -> list["OpenSubgroup"]:
         """All maximal (index-2) subgroups, one per Frattini hyperplane."""
-        fq = self.frattini_quotient(verify=verify)
+        fq = self.frattini_quotient()
         out = []
         m = self.modulus
         for mu in range(1, 1 << fq.rank):
@@ -352,43 +352,20 @@ class OpenSubgroup:
 
     # -- nilpotency ---------------------------------------------------------------
 
-    def _normal_closure(self, seeds: list[int]) -> np.ndarray:
-        """Element set of the normal closure in H of <seeds>."""
-        m = self.modulus
-        ncl_gens = sorted(set(seeds))
-        current = kernels.closure(ncl_gens, m)
-        stable = False
-        while not stable:
-            stable = True
-            for g in self.generators:
-                conj = kernels.conjugate_set(current, g, m)
-                if not kernels.is_subset(conj, current):
-                    ncl_gens = sorted(set(ncl_gens) | {int(v) for v in conj})
-                    current = kernels.closure(ncl_gens, m)
-                    stable = False
-        return current
-
     def is_nilpotent(self) -> bool:
-        """Lower central series termination test."""
-        m = self.modulus
-        layer = self.elements
-        layer_gens = self.generators
-        while True:
-            comms = set()
-            for g in self.generators:
-                gi = kernels.inv(g, m)
-                for x in layer_gens:
-                    xi = kernels.inv(int(x), m)
-                    comms.add(kernels.mul(kernels.mul(xi, gi, m),
-                                          kernels.mul(int(x), g, m), m))
-            nxt = self._normal_closure(sorted(comms))
-            if len(nxt) == 1:
-                return True
-            if len(nxt) == len(layer):
+        """A finite group is nilpotent iff each Sylow subgroup is normal, that
+        is unique.  The q-elements (order dividing the q-part n_q of |H|) are
+        the union of the Sylow q-subgroups, so there are exactly n_q of them
+        iff the Sylow q-subgroup is unique."""
+        n = self.order()
+        orders = kernels.order_array(self.elements, self.modulus)
+        for q in _prime_factors(n):
+            n_q = 1
+            while n % (n_q * q) == 0:
+                n_q *= q
+            if int((n_q % orders == 0).sum()) != n_q:
                 return False
-            layer = nxt
-            layer_gens = ([int(v) for v in nxt] if len(nxt) <= 128 else
-                          _greedy_generators(nxt, m)[0])
+        return True
 
     # -- conjugacy -------------------------------------------------------------------
 

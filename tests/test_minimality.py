@@ -1,14 +1,18 @@
 """Minimality verdicts, the census, and the supporting sweeps."""
 
+import hashlib
+import json
+
 import pytest
 
-from minimal2 import kernels, minimality
+from minimal2 import kernels, minimality, report
 from minimal2.minimality import (
     CensusBudgetError,
     is_minimal,
     maximal_determinant_images,
     sylow_pro2_subgroup,
 )
+from minimal2.report import RunConfig
 from minimal2.subgroups import OpenSubgroup, ambient_generators, closure
 
 
@@ -83,6 +87,38 @@ class TestIsMinimal:
     def test_odd_prime_rejected(self):
         with pytest.raises(ValueError):
             is_minimal(OpenSubgroup(3, 3, []))
+
+
+class TestNonTwoGroupWitness:
+    """The witness for a det-full non-2-group is its index-3 Sylow subgroup."""
+
+    def test_level4_check_report_bytes(self, tmp_path, monkeypatch):
+        # level 4, 384 elements at its certifying modulus 8; the digest was
+        # recorded while the witness was still grown upward by closures
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.json").write_text(json.dumps(
+            {"prime": 2, "modulus": 16,
+             "generators": [[12, 13, 13, 7], [15, 9, 15, 12]]}))
+        rep = report.run(RunConfig(command="check", group_path="g.json"))
+        assert rep.results["witnesses"]["index_in_group"] == 3
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == \
+            "80f351875667bfd9a8844f5c5517e3e8dcb249d04fcb4a7ee62b48af1fb2e3ec"
+
+    def test_level16_group_above_2_to_the_14_elements(self):
+        H = OpenSubgroup(2, 16, [(15, 11, 13, 0), (3, 5, 11, 6), (15, 9, 6, 13)])
+        rep = is_minimal(H)
+        assert rep.certifying_modulus == 32
+        assert rep.verdict is False
+        assert rep.det_surjective and not rep.is_two_group
+        wit = rep.witnesses
+        assert wit["kind"] == "maximal_subgroup_with_full_det"
+        assert wit["index_in_group"] == 3
+        assert wit["det_image_mod8"] == [1, 3, 5, 7]
+        HM = H.lift(32)
+        assert HM.order() == 24576
+        W = OpenSubgroup.from_json_dict(wit["subgroup"])
+        assert W.modulus == 32 and W.order() == 8192
+        assert kernels.in_sorted(W.elements, HM.elements).all()
 
 
 class TestMaximalDetImages:

@@ -78,9 +78,11 @@ class TestReportDocument:
         assert all(len(g.split(":")) == 4 for g in gens)
 
     def test_csv_only_for_census(self, tmp_path):
-        cfg = RunConfig(command="quadfamily", csv_path=str(tmp_path / "x.csv"))
-        with pytest.raises(ValueError):
-            report.run(cfg)
+        # refused when the config is built, before any command runs
+        with pytest.raises(ValueError, match="only defined for the census"):
+            RunConfig(command="quadfamily", csv_path=str(tmp_path / "x.csv"),
+                      out_path=str(tmp_path / "x.json"))
+        assert not (tmp_path / "x.json").exists()
 
 
 class TestVerifyAllDriver:

@@ -390,7 +390,11 @@ class TestNilpotency:
         assert G.is_nilpotent() is False
 
     def test_lcs_matches_sylow_decomposition_mod9(self):
-        # A finite group is nilpotent iff every Sylow subgroup is normal.
+        # A finite group is nilpotent iff every Sylow subgroup is normal;
+        # this oracle tests normality by conjugating each Sylow subgroup.
+        # Random two-generator subgroups of GL_2(Z/9), GL_2(Z/8) and the
+        # Borel subgroup mod 25 give nilpotent groups of one and of two
+        # primes and non-nilpotent ones.
         def sylows_normal(H):
             for q in _prime_factors(H.order()):
                 syl = sylow_subgroup(H.elements, H.modulus, q)
@@ -400,15 +404,20 @@ class TestNilpotency:
                         return False
             return True
 
-        G9 = OpenSubgroup(3, 9, [kernels.unpack(g)
-                                 for g in ambient_generators(3, 9)])
-        pool = G9.elements
+        pools = (
+            (9, 40, OpenSubgroup(3, 9, [kernels.unpack(g)
+                                        for g in ambient_generators(3, 9)])),
+            (8, 40, full_group(8)),
+            (25, 20, closure([(2, 0, 0, 1), (1, 0, 0, 2), (1, 1, 0, 1)], 25)),
+        )
         rng = np.random.default_rng(2)
-        for _ in range(40):
-            a = kernels.unpack(int(pool[int(rng.integers(len(pool)))]))
-            b = kernels.unpack(int(pool[int(rng.integers(len(pool)))]))
-            H = closure([a, b], 9)
-            assert H.is_nilpotent() == sylows_normal(H)
+        for modulus, draws, G in pools:
+            pool = G.elements
+            for _ in range(draws):
+                a = kernels.unpack(int(pool[int(rng.integers(len(pool)))]))
+                b = kernels.unpack(int(pool[int(rng.integers(len(pool)))]))
+                H = closure([a, b], modulus)
+                assert H.is_nilpotent() == sylows_normal(H)
 
     def test_abelian_group_is_nilpotent(self):
         assert closure([D31, D51], 8).is_nilpotent() is True
