@@ -1,17 +1,18 @@
 """Truncated 2-adic matrix logarithm/exponential with precision tracking.
 
-Entries live in Z_2 truncated to a working window of P guaranteed bits
-(default 64).  Internally every residue is carried mod 2^(2P): the extra
-guard bits absorb the right-shifts that exact division by n or n! performs,
-so series arithmetic never eats into the tracked window; what the guard
-cannot excuse is recorded in ``effective_precision``, a certified lower
-bound on the number of correct low-order bits.
+Entries live in Z_2 truncated to one working window of P = 64 guaranteed
+bits.  Internally every residue is carried mod 2^(2P): the extra guard bits
+absorb the right-shifts that exact division by n or n! performs, so series
+arithmetic never eats into the tracked window; what the guard cannot excuse
+is recorded in ``effective_precision``, a certified lower bound on the
+number of correct low-order bits.
 
-The series bounds are the usual ones for matrices X = 0 mod 4: the n-th
-log term X^n/n has valuation at least 2n - v_2(n), the n-th exp term
-X^n/n! at least n + s_2(n) (binary digit sum), so both series are summed
-until those bounds exceed P and the truncation error stays above the
-window.
+Both series run through one routine, ``_series``.  For X = 4Y = 0 mod 4 the
+n-th term is 4^n Y^n / d_n, with d_n = (-1)^(n+1) n for the log and n! for
+the exp, so its valuation is at least 2n - v_2(d_n) (for the exp this is
+n + s_2(n), s_2 the binary digit sum, since v_2(n!) = n - s_2(n)).  Each
+series is summed up to the last n where that bound is within the window,
+so the truncation error stays above it.
 
 The determinant check at the bottom of the file is the exhaustive sweep
 over all 96^2 pairs of classes mod 4: for random lifts of each pair the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from itertools import product
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,6 +37,9 @@ from .subgroups import ambient_generators
 DEFAULT_PRECISION = 64
 D_RESIDUE_BITS = 50
 
+# residues are carried mod 2^(2P): P tracked bits plus P guard bits
+_MASK = (1 << (2 * DEFAULT_PRECISION)) - 1
+
 
 class PrecisionError(ArithmeticError):
     """Tracked precision fell below what the operation must guarantee."""
@@ -44,75 +49,60 @@ def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def _digit_sum_2(n: int) -> int:
-    return bin(n).count("1")
-
-
 @dataclass(frozen=True)
 class PrecisionMatrix:
     """2x2 matrix over Z_2 with a certified correct-bit count.
 
-    ``entries`` = (a, b, c, d) reduced mod 2^(2 * precision); the true
-    2-adic matrix is congruent to it mod 2^effective_precision.
+    ``entries`` = (a, b, c, d) reduced mod 2^(2 * DEFAULT_PRECISION); the
+    true 2-adic matrix is congruent to it mod 2^effective_precision.
     """
 
-    precision: int
     entries: tuple[int, int, int, int]
-    effective_precision: int
+    effective_precision: int = DEFAULT_PRECISION
 
     def __post_init__(self):
-        if not 0 <= self.effective_precision <= self.precision:
+        if not 0 <= self.effective_precision <= DEFAULT_PRECISION:
             raise ValueError("effective_precision out of range")
-        mask = self._mask()
         object.__setattr__(self, "entries",
-                           tuple(int(e) & mask for e in self.entries))
-
-    def _mask(self) -> int:
-        return (1 << (2 * self.precision)) - 1
+                           tuple(int(e) & _MASK for e in self.entries))
 
     @classmethod
-    def from_entries(cls, entries, precision: int = DEFAULT_PRECISION,
-                     effective: Optional[int] = None) -> "PrecisionMatrix":
-        return cls(precision, tuple(int(e) for e in entries),
-                   precision if effective is None else effective)
+    def from_entries(cls, entries, effective: int = DEFAULT_PRECISION
+                     ) -> "PrecisionMatrix":
+        return cls(tuple(entries), effective)
 
     @classmethod
-    def identity(cls, precision: int = DEFAULT_PRECISION) -> "PrecisionMatrix":
-        return cls(precision, (1, 0, 0, 1), precision)
+    def identity(cls) -> "PrecisionMatrix":
+        return cls((1, 0, 0, 1))
 
     @classmethod
-    def zero(cls, precision: int = DEFAULT_PRECISION) -> "PrecisionMatrix":
-        return cls(precision, (0, 0, 0, 0), precision)
+    def zero(cls) -> "PrecisionMatrix":
+        return cls((0, 0, 0, 0))
 
     def _join(self, other: "PrecisionMatrix") -> int:
-        if self.precision != other.precision:
-            raise ValueError("mixed working precisions")
         return min(self.effective_precision, other.effective_precision)
 
     def __add__(self, other: "PrecisionMatrix") -> "PrecisionMatrix":
-        e = self._join(other)
-        x, y = self.entries, other.entries
-        return PrecisionMatrix(self.precision,
-                               tuple(x[i] + y[i] for i in range(4)), e)
+        return PrecisionMatrix(
+            tuple(x + y for x, y in zip(self.entries, other.entries)),
+            self._join(other))
 
     def __sub__(self, other: "PrecisionMatrix") -> "PrecisionMatrix":
-        e = self._join(other)
-        x, y = self.entries, other.entries
-        return PrecisionMatrix(self.precision,
-                               tuple(x[i] - y[i] for i in range(4)), e)
+        return PrecisionMatrix(
+            tuple(x - y for x, y in zip(self.entries, other.entries)),
+            self._join(other))
 
     def __matmul__(self, other: "PrecisionMatrix") -> "PrecisionMatrix":
-        e = self._join(other)
         a, b, c, d = self.entries
         w, x, y, z = other.entries
         return PrecisionMatrix(
-            self.precision,
-            (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z), e)
+            (a * w + b * y, a * x + b * z, c * w + d * y, c * x + d * z),
+            self._join(other))
 
     def __pow__(self, n: int) -> "PrecisionMatrix":
         if n < 0:
             raise ValueError("negative powers are not needed here")
-        acc = PrecisionMatrix.identity(self.precision)
+        acc = PrecisionMatrix.identity()
         base = self
         while n:
             if n & 1:
@@ -121,16 +111,11 @@ class PrecisionMatrix:
             n >>= 1
         return acc
 
-    def __neg__(self) -> "PrecisionMatrix":
-        return PrecisionMatrix(self.precision,
-                               tuple(-e for e in self.entries),
-                               self.effective_precision)
-
     def shift_left(self, k: int) -> "PrecisionMatrix":
         """Multiply by 2^k: every correct bit moves up, gaining k."""
-        e = min(self.effective_precision + k, self.precision)
-        return PrecisionMatrix(self.precision,
-                               tuple(x << k for x in self.entries), e)
+        return PrecisionMatrix(tuple(x << k for x in self.entries),
+                               min(self.effective_precision + k,
+                                   DEFAULT_PRECISION))
 
     def shift_right(self, k: int) -> "PrecisionMatrix":
         """Exact division by 2^k; requires divisible entries, costs k bits."""
@@ -138,22 +123,16 @@ class PrecisionMatrix:
             raise ValueError(f"entries not divisible by 2^{k}")
         if self.effective_precision < k:
             raise PrecisionError("shift below zero tracked bits")
-        return PrecisionMatrix(self.precision,
-                               tuple(x >> k for x in self.entries),
+        return PrecisionMatrix(tuple(x >> k for x in self.entries),
                                self.effective_precision - k)
 
     def div_exact(self, n: int) -> "PrecisionMatrix":
         """Exact 2-adic division: odd part by modular inverse, 2-part by shift."""
         v = _v2(n)
-        odd = n >> v
-        inv = pow(odd, -1, 1 << (2 * self.precision))
-        scaled = PrecisionMatrix(self.precision,
-                                 tuple(x * inv for x in self.entries),
+        inv = pow(n >> v, -1, _MASK + 1)
+        scaled = PrecisionMatrix(tuple(x * inv for x in self.entries),
                                  self.effective_precision)
         return scaled.shift_right(v) if v else scaled
-
-    def reduced(self, modulus: int) -> tuple[int, int, int, int]:
-        return tuple(e % modulus for e in self.entries)
 
     def congruent_to(self, other: "PrecisionMatrix", bits: int) -> bool:
         m = 1 << bits
@@ -165,65 +144,61 @@ class PrecisionMatrix:
         return all(x % m == 0 for x in self.entries)
 
 
-def mat_log(M: PrecisionMatrix) -> PrecisionMatrix:
-    """log of M = I mod 4, summed to terms of valuation beyond the window.
+def _denominators(d: Callable[[int], int]) -> tuple[int, ...]:
+    """d_1, ..., d_N, where N is the last n whose term bound 2n - v_2(d_n)
+    is within the window.  The bound is not monotone, so this asserts that
+    no earlier term lies beyond the window either: the series then sums
+    every term it computes."""
+    bounds = [2 * n - _v2(d(n)) for n in range(1, 2 * DEFAULT_PRECISION + 1)]
+    last = max(n for n, b in enumerate(bounds, start=1) if b <= DEFAULT_PRECISION)
+    if max(bounds[:last]) > DEFAULT_PRECISION:
+        raise AssertionError("a series term inside the run lies beyond the window")
+    return tuple(d(n) for n in range(1, last + 1))
 
-    Writing X = M - I = 4Y with Y exact, the n-th term is
-    2^(2n) Y^n / n, so its tracked precision is e - 2 + 2n - v_2(n); the
-    minimum over n (at n = 1) keeps the input precision, and the guard
-    bits absorb every intermediate shift.
+
+_LOG_DENOMINATORS = _denominators(lambda n: n if n % 2 else -n)
+_EXP_DENOMINATORS = _denominators(factorial)
+
+
+def _series(X: PrecisionMatrix, start: PrecisionMatrix,
+            denominators: tuple[int, ...]) -> PrecisionMatrix:
+    """start + sum over n of X^n / d_n, for X = 4Y = 0 mod 4.
+
+    Term n is 4^n Y^n / d_n: Y^n is divided by the odd part of |d_n| and
+    then scaled once by 2^(2n - v_2(d_n)) > 0, so no step dips below the
+    guard bits.  Its tracked precision is e - 2 + 2n - v_2(d_n), e that of
+    X; the sum keeps the least of them through ``_join``.
     """
-    X = M - PrecisionMatrix.identity(M.precision)
+    Y = X.shift_right(2)
+    acc = start
+    ypow = PrecisionMatrix.identity()
+    for n, d in enumerate(denominators, start=1):
+        ypow = ypow @ Y
+        v = _v2(d)
+        term = ypow.div_exact(abs(d) >> v).shift_left(2 * n - v)
+        acc = acc - term if d < 0 else acc + term
+    return acc
+
+
+def mat_log(M: PrecisionMatrix) -> PrecisionMatrix:
+    """log of M = I mod 4: the series in X = M - I with d_n = (-1)^(n+1) n.
+
+    The least term bound, 2 at n = 1, keeps the input precision."""
+    X = M - PrecisionMatrix.identity()
     if not X.is_zero_mod(2):
         raise ValueError("mat_log needs M = I mod 4")
-    P = M.precision
-    Y = X.shift_right(2)
-    acc = PrecisionMatrix.zero(P)
-    e_out = P
-    ypow = PrecisionMatrix.identity(P)
-    # the valuation bound 2n - v_2(n) is not monotone, so run to the last
-    # n where it is within the window and skip only the terms beyond it
-    last = max(n for n in range(1, 2 * P + 1) if 2 * n - _v2(n) <= P)
-    for n in range(1, last + 1):
-        ypow = ypow @ Y
-        if 2 * n - _v2(n) > P:
-            continue
-        # net power of 2 is 2n - v_2(n) > 0: scale once, never dipping
-        term = ypow.div_exact(n >> _v2(n)).shift_left(2 * n - _v2(n))
-        if n % 2 == 0:
-            term = -term
-        acc = acc + term
-        e_out = min(e_out, term.effective_precision)
-    out = PrecisionMatrix(P, acc.entries, min(acc.effective_precision, e_out))
+    out = _series(X, PrecisionMatrix.zero(), _LOG_DENOMINATORS)
     if not out.is_zero_mod(2):
         raise AssertionError("log landed outside 4 * gl_2(Z_2)")
     return out
 
 
 def mat_exp(X: PrecisionMatrix) -> PrecisionMatrix:
-    """exp of X = 0 mod 4; same discipline with n! in the denominator."""
+    """exp of X = 0 mod 4: the series from I with d_n = n!."""
     if not X.is_zero_mod(2):
         raise ValueError("mat_exp needs X = 0 mod 4")
-    P = X.precision
-    Y = X.shift_right(2)
-    acc = PrecisionMatrix.identity(P)
-    e_out = P
-    ypow = PrecisionMatrix.identity(P)
-    factorial = 1
-    # n + s_2(n) is not monotone either; same run-to-last discipline
-    last = max(n for n in range(1, 2 * P + 1) if n + _digit_sum_2(n) <= P)
-    for n in range(1, last + 1):
-        ypow = ypow @ Y
-        factorial *= n
-        if n + _digit_sum_2(n) > P:
-            continue
-        v = _v2(factorial)
-        # net power of 2 is 2n - v_2(n!) = n + s_2(n) > 0
-        term = ypow.div_exact(factorial >> v).shift_left(2 * n - v)
-        acc = acc + term
-        e_out = min(e_out, term.effective_precision)
-    out = PrecisionMatrix(P, acc.entries, min(acc.effective_precision, e_out))
-    if not (out - PrecisionMatrix.identity(P)).is_zero_mod(2):
+    out = _series(X, PrecisionMatrix.identity(), _EXP_DENOMINATORS)
+    if not (out - PrecisionMatrix.identity()).is_zero_mod(2):
         raise AssertionError("exp landed outside I + 4 * gl_2(Z_2)")
     return out
 

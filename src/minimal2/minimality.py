@@ -175,7 +175,7 @@ def _det_full_hyperplane_witness(HM: OpenSubgroup,
     images = _hyperplane_det_images(fq, HM.modulus)
     if UNIT_RESIDUES_MOD_8 not in images:
         raise AssertionError("rank >= 3 group without det-full hyperplane")
-    return HM.index2_subgroups()[images.index(UNIT_RESIDUES_MOD_8)]
+    return HM.hyperplane_subgroup(images.index(UNIT_RESIDUES_MOD_8) + 1)
 
 
 def _core_minimality(HM: OpenSubgroup, want_witness: bool):

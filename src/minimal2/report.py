@@ -62,6 +62,8 @@ class RunConfig:
                      "round_trip_count", "n_max", "prime", "trials", "primes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.genus_filter is not None and self.genus_filter < 0:
             raise ValueError("genus_filter must be nonnegative")
         minimality.check_census_bounds(self.level_bound, self.index_bound)

@@ -15,8 +15,9 @@ coset: the first element of H, in sorted packed order, outside the part
 labelled so far becomes the next basis vector, and right-multiplying the
 labelled part by it labels one new layer of cosets.  By the Burnside basis
 theorem the generators of H generate exactly when their coordinate vectors
-span F_2^rank, which is checked on every quotient.  An optional sweep
-re-checks all element squares, generator commutators and generator edges.
+span F_2^rank, which is checked on every quotient.  A sweep, run by
+default whatever the group's size, re-checks all element squares, generator
+commutators and generator edges.
 """
 
 from __future__ import annotations
@@ -288,8 +289,11 @@ class OpenSubgroup:
 
     # -- Frattini quotient and maximal subgroups ---------------------------------
 
-    def frattini_quotient(self, verify: bool | None = None) -> FrattiniQuotient:
-        """Quotient by Phi(H) = <x^2 : x in H>; input must be a 2-group."""
+    def frattini_quotient(self, verify: bool = True) -> FrattiniQuotient:
+        """Quotient by Phi(H) = <x^2 : x in H>; input must be a 2-group.
+
+        With verify (the default) the exhaustive sweep runs once per group,
+        whatever its size."""
         if self._fq is None:
             if not self.is_two_group():
                 raise ValueError("Frattini quotient implemented for 2-groups only")
@@ -307,8 +311,6 @@ class OpenSubgroup:
                 _modulus=self.modulus,
                 _elements=elements,
                 _coords=coords)
-        if verify is None:
-            verify = len(self.elements) <= 1 << 20
         if verify and not self._fq_verified:
             self._verify_frattini(self._fq)
             self._fq_verified = True
@@ -338,17 +340,17 @@ class OpenSubgroup:
         if n_phi << fq.rank != len(elements):
             raise AssertionError("Phi index does not match the rank")
 
+    def hyperplane_subgroup(self, mu: int) -> "OpenSubgroup":
+        """The maximal (index-2) subgroup killed by the Frattini functional mu."""
+        fq = self.frattini_quotient()
+        return OpenSubgroup(self.prime, self.modulus,
+                            schreier_generators(fq, self.generators, mu),
+                            _elements=self.elements[fq.hyperplane_mask(mu)])
+
     def index2_subgroups(self) -> list["OpenSubgroup"]:
         """All maximal (index-2) subgroups, one per Frattini hyperplane."""
-        fq = self.frattini_quotient()
-        out = []
-        m = self.modulus
-        for mu in range(1, 1 << fq.rank):
-            gens = schreier_generators(fq, self.generators, mu)
-            out.append(OpenSubgroup(
-                self.prime, m, gens,
-                _elements=self.elements[fq.hyperplane_mask(mu)]))
-        return out
+        return [self.hyperplane_subgroup(mu)
+                for mu in range(1, 1 << self.frattini_quotient().rank)]
 
     # -- nilpotency ---------------------------------------------------------------
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from minimal2 import kernels, minimality, report
+from minimal2 import kernels, minimality, report, subgroups
 from minimal2.minimality import (
     CensusBudgetError,
     is_minimal,
@@ -87,6 +87,22 @@ class TestIsMinimal:
     def test_odd_prime_rejected(self):
         with pytest.raises(ValueError):
             is_minimal(OpenSubgroup(3, 3, []))
+
+    def test_hyperplane_witness_builds_one_subgroup(self, monkeypatch):
+        # <diag(3,1), diag(5,1)> has rank 5 at 16: 31 hyperplanes, of which
+        # only the det-full witness needs Schreier generators
+        calls = []
+        real = subgroups.schreier_generators
+
+        def spy(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(subgroups, "schreier_generators", spy)
+        rep = is_minimal(OpenSubgroup(2, 8, [(3, 0, 0, 1), (5, 0, 0, 1)]))
+        assert rep.frattini_rank == 5
+        assert rep.witnesses["index_in_group"] == 2
+        assert len(calls) == 1
 
 
 class TestNonTwoGroupWitness:

@@ -36,6 +36,10 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(command="quadfamily", n_max=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(command="lie-check", seed=-1)
+
 
 class TestReportDocument:
     def test_json_is_stable_and_sorted(self):
@@ -229,6 +233,10 @@ class TestCli:
     def test_bad_arguments_exit_2(self):
         assert cli.main(["census", "--level-bound", "12"]) == 2
         assert cli.main(["falsify", "--prime", "7"]) == 2
+
+    def test_negative_seed_exits_2(self, capsys):
+        assert cli.main(["lie-check", "--seed", "-1", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative\n"
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--level-bound", "256", "level_bound above 128 is out of scope"),

@@ -231,6 +231,22 @@ class TestFrattini:
         with pytest.raises(ValueError):
             full_group(8).frattini_quotient()
 
+    def test_sweep_runs_above_2_to_the_20_elements(self, monkeypatch):
+        # the Sylow pro-2 subgroup at modulus 64 has 2^21 elements; asking
+        # for the quotient runs the sweep whatever the size
+        calls = []
+        real = OpenSubgroup._verify_frattini
+
+        def spy(self, fq):
+            calls.append(len(self.elements))
+            return real(self, fq)
+
+        monkeypatch.setattr(OpenSubgroup, "_verify_frattini", spy)
+        H = sylow8().lift(64)
+        assert H.order() == 1 << 21
+        H.frattini_quotient()
+        assert calls == [1 << 21]
+
     def test_rank_is_the_fewest_generators(self):
         # Burnside basis theorem, checked against an exhaustive search
         sylow4 = sylow8().reduce(4)
