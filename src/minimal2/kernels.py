@@ -9,7 +9,8 @@ breadth-first closure run over flat arrays.  Scalar ``mul``/``inv``/``det``/
 routine.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
-each generator at once, and conjugation maps a whole element set at once.
+each generator at once, and conjugation maps a stacked layer of element
+sets by every generator at once.
 Bulk arithmetic unpacks the entries to int32 and reduces with a bit mask
 when m is a power of 2, with % otherwise.
 
@@ -96,9 +97,13 @@ def unpack_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 def pack_array(a, b, c, d) -> np.ndarray:
     """Packed int64 array from entry arrays with values in 0..255."""
+    return _pack_uint32(a, b, c, d).astype(np.int64)
+
+
+def _pack_uint32(a, b, c, d) -> np.ndarray:
     # d << 24 sets the sign bit of an int32 when d >= 128; the cast to
     # uint32 reads the same bits back as a non-negative value.
-    return (a | (b << 8) | (c << 16) | (d << 24)).astype(np.uint32).astype(np.int64)
+    return (a | (b << 8) | (c << 16) | (d << 24)).astype(np.uint32)
 
 
 def _mod(v: np.ndarray, m: int) -> np.ndarray:
@@ -268,8 +273,7 @@ def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
     if seeds is not None:
         known = unique(np.append(np.asarray(seeds, dtype=np.int64), IDENTITY))
     frontier = known
-    # generator entries as columns: one product covers every generator
-    g = [np.array(col, dtype=np.int32)[:, None] for col in zip(*map(unpack, gens))]
+    g = _entry_columns(gens, 1)
     while gens:
         cand = unique(pack_array(*_mul_entries(unpack_array(frontier), g, m)).ravel())
         fresh = cand[~in_sorted(cand, known)]
@@ -283,8 +287,27 @@ def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
     return known
 
 
-def conjugate_set(xs: np.ndarray, g: int, m: int) -> np.ndarray:
-    """Sorted packed set {g x g^-1}."""
-    out = conj_array(np.asarray(xs, dtype=np.int64), int(g), m)
-    out.sort()
-    return out
+def _entry_columns(gens, ndim: int) -> list[np.ndarray]:
+    """Entry arrays (a, b, c, d) of the packed gens, shaped (len(gens),) plus
+    ndim unit axes: against an ndim-dimensional operand, one product covers
+    every generator."""
+    shape = (len(gens),) + (1,) * ndim
+    return [np.array(col, dtype=np.int32).reshape(shape)
+            for col in zip(*map(unpack, gens))]
+
+
+def conjugate_set(xs: np.ndarray, g, m: int) -> np.ndarray:
+    """Packed sets {g x g^-1}, sorted along the last axis of xs.
+
+    xs is one set (1-D) or a stack of sets, one per row.  g is one packed
+    generator, or a sequence of them; a sequence adds a leading axis with
+    one slice per generator, all computed in one product.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    one = isinstance(g, (int, np.integer))
+    gens = [int(g)] if one else [int(h) for h in g]
+    g_inv = _entry_columns([inv(h, m) for h in gens], xs.ndim)
+    x_gi = _mul_entries(unpack_array(xs), g_inv, m)
+    out = _pack_uint32(*_mul_entries(_entry_columns(gens, xs.ndim), x_gi, m))
+    out.sort(axis=-1)  # as uint32: half the bytes of an int64 sort
+    return (out[0] if one else out).astype(np.int64)

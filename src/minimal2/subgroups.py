@@ -34,6 +34,14 @@ from .modmat import _prime_factors, _prime_power, gl2_order
 # index above 4096.
 ORBIT_BUDGET = 4096
 
+# Conjugates per kernels.conjugate_set call in an orbit walk.  Every batch
+# of census(16, 48) is smaller, so a small model's layer is one call.  Over
+# the 64 walks of 65536-element models in the genus-0 census(64, 96)
+# (2-vCPU Xeon, CPU s per pass), caps of 2^13 to 2^17, one member by one or
+# two of the four generators, took 15-18 s; 2^18, all four, 18-21 s; whole
+# layers 28 s.
+_ORBIT_BATCH = 1 << 15
+
 UNIT_RESIDUES_MOD_8 = frozenset((1, 3, 5, 7))
 
 
@@ -195,6 +203,7 @@ class OpenSubgroup:
         self._level: int | None = None
         self._fq: FrattiniQuotient | None = None
         self._fq_verified = False
+        self._orbit: frozenset[bytes] | None = None
 
     # -- element set ---------------------------------------------------------
 
@@ -388,24 +397,47 @@ class OpenSubgroup:
         return {hashlib.sha256(prefix + kb).digest()
                 for kb in self._conjugation_orbit()}
 
-    def _conjugation_orbit(self) -> set[bytes]:
+    def _conjugation_orbit(self) -> frozenset[bytes]:
+        """Element bytes (big-endian uint32) of every member of the ambient
+        conjugation orbit, walked once per group and kept.
+
+        The walk is breadth-first over whole layers: the members new in a
+        layer are stacked into a (k, s) array, s = |H|, and
+        ``kernels.conjugate_set`` conjugates them by every ambient
+        generator at once.  One batch holds at most ngen * k * s conjugates,
+        ngen times the layer's elements, the same order as the frontier
+        product of ``kernels.closure``.  A call is cut to
+        max(_ORBIT_BATCH, s) conjugates, by taking fewer members and then
+        fewer generators.  Raises BudgetExceeded iff the orbit has more than
+        ORBIT_BUDGET members.
+        """
+        if self._orbit is not None:
+            return self._orbit
         m = self.modulus
         amb = ambient_generators(self.prime, m)
-        start = self.elements
-        orbit = {start.astype(">u4").tobytes()}
-        frontier = [start]
-        while frontier:
-            xs = frontier.pop()
-            for g in amb:
-                conj = kernels.conjugate_set(xs, g, m)
-                kb = conj.astype(">u4").tobytes()
-                if kb not in orbit:
-                    if len(orbit) >= ORBIT_BUDGET:
-                        raise kernels.BudgetExceeded(
-                            f"conjugation orbit exceeds {ORBIT_BUDGET}")
-                    orbit.add(kb)
-                    frontier.append(conj)
-        return orbit
+        s = len(self.elements)
+        members = max(1, _ORBIT_BATCH // (len(amb) * s))  # per call
+        gens = max(1, _ORBIT_BATCH // s)  # per call
+        layer = self.elements[None, :]
+        orbit = {self.elements.astype(">u4").tobytes()}
+        while len(layer):
+            fresh = []
+            for lo in range(0, len(layer), members):
+                for glo in range(0, len(amb), gens):
+                    conj = kernels.conjugate_set(layer[lo:lo + members],
+                                                 amb[glo:glo + gens], m).reshape(-1, s)
+                    big_endian = conj.astype(">u4")
+                    for i in range(len(conj)):
+                        kb = big_endian[i].tobytes()
+                        if kb not in orbit:
+                            if len(orbit) >= ORBIT_BUDGET:
+                                raise kernels.BudgetExceeded(
+                                    f"conjugation orbit exceeds {ORBIT_BUDGET}")
+                            orbit.add(kb)
+                            fresh.append(conj[i])
+            layer = np.array(fresh, dtype=np.int64).reshape(-1, s)
+        self._orbit = frozenset(orbit)
+        return self._orbit
 
     # -- serialization ------------------------------------------------------------------
 

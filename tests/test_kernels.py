@@ -242,6 +242,27 @@ class TestBulkArithmeticMatchesScalar:
             assert int(det[i]) == kernels.det(x, m)
 
     @pytest.mark.parametrize("m", ARITH_MODULI)
+    def test_stacked_conjugate_set(self, m):
+        # a (k, s) stack of sets by several generators: slice j, row i is
+        # row i conjugated by generator j, sorted
+        rng = np.random.default_rng(m + 3)
+        xs = _unit_matrices(rng, m, 5 * 40).reshape(5, 40)
+        gens = [int(g) for g in _unit_matrices(rng, m, 3)]
+        out = kernels.conjugate_set(xs, gens, m)
+        assert out.shape == (3, 5, 40)
+        assert out.dtype == np.int64
+        for j, g in enumerate(gens):
+            one = kernels.conjugate_set(xs, g, m)
+            assert one.shape == (5, 40)
+            assert (one == out[j]).all()
+            for i in range(5):
+                ref = np.sort(kernels.conj_array(xs[i], g, m))
+                assert (out[j, i] == ref).all()
+                assert (kernels.conjugate_set(xs[i], g, m) == ref).all()
+        # one set by a sequence of generators: one row per generator
+        assert (kernels.conjugate_set(xs[0], gens, m) == out[:, 0]).all()
+
+    @pytest.mark.parametrize("m", ARITH_MODULI)
     def test_det_of_singular_matrices(self, m):
         rng = np.random.default_rng(m + 2)
         xs = kernels.pack_array(*[rng.integers(0, m, size=300) for _ in range(4)])

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from minimal2 import kernels
+from minimal2 import kernels, subgroups
+from minimal2.minimality import census
 from minimal2.modmat import _prime_factors, gl2_order
 from minimal2.subgroups import (
     FrattiniQuotient,
@@ -466,6 +467,76 @@ class TestCanonicalKey:
         H = closure([D31, D51], 8)
         digests = H.conjugacy_digests()
         assert H.own_digest() in digests
+
+
+def _reference_orbit(H):
+    """The conjugation orbit walked one member and one generator at a time."""
+    amb = ambient_generators(H.prime, H.modulus)
+    orbit = {H.elements.astype(">u4").tobytes()}
+    stack = [H.elements]
+    while stack:
+        xs = stack.pop()
+        for g in amb:
+            conj = np.sort(kernels.conj_array(xs, g, H.modulus))
+            kb = conj.astype(">u4").tobytes()
+            if kb not in orbit:
+                orbit.add(kb)
+                stack.append(conj)
+    return orbit
+
+
+class TestConjugationOrbit:
+    def test_matches_reference_walk_on_census_nodes(self, monkeypatch):
+        # every kept node of census(16, 24), with the orbit its census walk
+        # computed
+        kept = []
+        digests = OpenSubgroup.conjugacy_digests
+
+        def record(self):
+            kept.append(self)
+            return digests(self)
+
+        monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", record)
+        census(16, 24)
+        assert len(kept) == 338
+        for HL in kept:
+            assert HL._conjugation_orbit() == _reference_orbit(HL)
+
+    def test_budget_boundary(self, monkeypatch):
+        # a fresh group for each walk: the orbit is kept on the instance
+        gens = [D31]
+        size = len(_reference_orbit(closure(gens, 16)))
+        assert size == 96
+        monkeypatch.setattr(subgroups, "ORBIT_BUDGET", size)
+        assert len(closure(gens, 16)._conjugation_orbit()) == size
+        monkeypatch.setattr(subgroups, "ORBIT_BUDGET", size - 1)
+        with pytest.raises(kernels.BudgetExceeded):
+            closure(gens, 16)._conjugation_orbit()
+
+    @pytest.mark.parametrize("factor", [1, 2, 8])
+    def test_cut_batches_give_the_same_orbit(self, monkeypatch, factor):
+        # batches of |H| conjugates take one member and one generator per
+        # call, 2|H| two generators, 8|H| two members and all four
+        H = closure([D31, SHEAR], 16)
+        monkeypatch.setattr(subgroups, "_ORBIT_BATCH", factor * H.order())
+        assert H._conjugation_orbit() == _reference_orbit(H)
+
+    def test_walked_once_per_group(self, monkeypatch):
+        calls = []
+        conjugate_set = kernels.conjugate_set
+
+        def count(*args):
+            calls.append(None)
+            return conjugate_set(*args)
+
+        monkeypatch.setattr(kernels, "conjugate_set", count)
+        H = closure([D31, D51], 16)
+        H.conjugacy_digests()
+        walked = len(calls)
+        assert walked > 0
+        H.canonical_key()
+        H.conjugacy_digests()
+        assert len(calls) == walked
 
 
 class TestSerialization:
