@@ -20,7 +20,7 @@ import math
 import random
 from fractions import Fraction
 from importlib import resources
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "SingularCurveError",
@@ -410,37 +410,56 @@ def _sqrt_mod_prime(n: int, p: int) -> "int | None":
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 
 
-def _eval_node(node: ast.expr, names: dict) -> object:
+def _compile_node(node: ast.expr, variables) -> Callable[[dict], object]:
+    """Check one polynomial syntax tree and turn it into an evaluator."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
-            return node.value
+            value = node.value
+            return lambda names: value
         raise ValueError("only integer constants are allowed")
     if isinstance(node, ast.Name):
-        if node.id in names:
-            return names[node.id]
+        if node.id in variables:
+            name = node.id
+            return lambda names: names[name]
         raise ValueError(f"unknown variable {node.id!r}")
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return -_eval_node(node.operand, names)
+            operand = _compile_node(node.operand, variables)
+            return lambda names: -operand(names)
         if isinstance(node.op, ast.UAdd):
-            return _eval_node(node.operand, names)
+            return _compile_node(node.operand, variables)
         raise ValueError("unary operator not allowed")
     if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _eval_node(node.left, names)
+        left = _compile_node(node.left, variables)
         if isinstance(node.op, ast.Pow):
             # Exponents must be literal nonnegative integers.
             exp = node.right
             if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)
                     and exp.value >= 0):
                 raise ValueError("exponent must be a nonnegative integer literal")
-            return left ** exp.value
-        right = _eval_node(node.right, names)
+            e = exp.value
+            return lambda names: left(names) ** e
+        right = _compile_node(node.right, variables)
         if isinstance(node.op, ast.Add):
-            return left + right
+            return lambda names: left(names) + right(names)
         if isinstance(node.op, ast.Sub):
-            return left - right
-        return left * right
+            return lambda names: left(names) - right(names)
+        return lambda names: left(names) * right(names)
     raise ValueError("expression form not allowed")
+
+
+def _compile_poly(text: str, variables) -> Callable[[dict], object]:
+    """Parse a polynomial once; the result evaluates it at a dict of values.
+
+    Only integer literals, the given variables, +, -, * and ** with
+    literal nonnegative integer exponents are accepted; anything else
+    raises ValueError here, before any evaluation.
+    """
+    try:
+        tree = ast.parse(text, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"not a polynomial: {text!r}") from exc
+    return _compile_node(tree.body, frozenset(variables))
 
 
 def eval_poly(text: str, names: dict) -> object:
@@ -449,14 +468,18 @@ def eval_poly(text: str, names: dict) -> object:
     Only integer literals, the named variables, +, -, * and ** with
     literal nonnegative integer exponents are accepted.
     """
-    return _eval_node(ast.parse(text, mode="eval").body, names)
+    return _compile_poly(text, names)(names)
 
 
 class FamilySpec:
     """One row of the curve-family table: a label, a base variety and
-    polynomial formulas for A and B in the base variables."""
+    polynomial formulas for A and B in the base variables.
 
-    __slots__ = ("label", "level", "index", "genus", "base", "A_expr", "B_expr")
+    The formulas are parsed and checked once, when the row is built, so a
+    malformed row fails with ValueError at load."""
+
+    __slots__ = ("label", "level", "index", "genus", "base", "A_expr", "B_expr",
+                 "_A", "_B")
 
     def __init__(self, label: str, base: str, A_expr: str, B_expr: str) -> None:
         parts = label.split(".")
@@ -471,6 +494,8 @@ class FamilySpec:
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "A_expr", A_expr)
         object.__setattr__(self, "B_expr", B_expr)
+        object.__setattr__(self, "_A", _compile_poly(A_expr, self.variables))
+        object.__setattr__(self, "_B", _compile_poly(B_expr, self.variables))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FamilySpec is immutable")
@@ -482,8 +507,7 @@ class FamilySpec:
     def curve_at(self, point: dict) -> WeierstrassCurve:
         """Specialize the formulas at a point of the base variety."""
         names = {v: point[v] for v in self.variables}
-        return WeierstrassCurve(eval_poly(self.A_expr, names),
-                                eval_poly(self.B_expr, names))
+        return WeierstrassCurve(self._A(names), self._B(names))
 
 
 def _canonical_families_blob(families: dict) -> bytes:

@@ -12,6 +12,12 @@ prime-power elements reach every subgroup (each element is a product of its
 prime-power components), and running them on class representatives reaches
 every class: a chain for T conjugates, step by step, onto a chain through the
 stored representatives.
+
+Each extension is computed once per double coset S x S, not once per
+element x: for s, t in S, <S, s x t> = <S, x> as a set, so every other
+candidate of the double coset would only rebuild a set already seen.
+Skipping them leaves the output (classes, their order, their generator
+lists) unchanged.
 """
 
 from __future__ import annotations
@@ -125,6 +131,12 @@ class FiniteGroupTable:
         <base_idx> (all subgroups when base_idx is None).
 
         Returns a list of (sorted index array, generator index list) pairs.
+
+        One closure per double coset S x S of each stored S: once <S, x> is
+        built, the whole double coset is marked covered and its other
+        elements are skipped.  Each of them generates the same set <S, x>
+        with S, so it would have hit ``seen_sets`` and been dropped; the
+        output is the same as with one closure per candidate.
         """
         base_gens = [int(v) for v in (base_idx or [])]
         base = self.closure_indices(base_gens)
@@ -136,12 +148,13 @@ class FiniteGroupTable:
         while head < len(out):
             sub, gens = out[head]
             head += 1
-            in_sub = np.zeros(self.n, dtype=bool)
-            in_sub[sub] = True
+            covered = np.zeros(self.n, dtype=bool)
+            covered[sub] = True
             for x in candidates:
-                if in_sub[x]:
+                if covered[x]:
                     continue
                 ext = self.closure_indices(gens + [int(x)])
+                covered[self.table[np.ix_(self.table[sub, x], sub)]] = True
                 kb = ext.astype(np.int32).tobytes()
                 if kb in seen_sets:
                     continue

@@ -1,5 +1,6 @@
 """Exact curve arithmetic, quadratic fields, and the family table."""
 
+import ast
 import json
 import random
 from fractions import Fraction
@@ -311,6 +312,27 @@ class TestFamilyTable:
                                         seed=0)
             assert rep["pass"] is True
             assert (rep["nonsingular"], rep["singular"]) == (good, bad)
+
+    @pytest.mark.parametrize("A_expr", ["b/2", "t + 1", "b +"])
+    def test_malformed_row_fails_when_built(self, A_expr):
+        # a conic row's variables are a and b; "b +" is not even Python
+        with pytest.raises(ValueError):
+            FamilySpec("8.24.0.44", "conic", A_expr, "b")
+
+    def test_specialization_parses_nothing(self, monkeypatch):
+        specs = load_family_specs()
+        parses = []
+        real = ast.parse
+
+        def spy(*args, **kwargs):
+            parses.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", spy)
+        rep = family_identity_check(specs["16.48.0.25"], trials=4, primes=3,
+                                    seed=1)
+        assert rep["nonsingular"] > 0
+        assert parses == []
 
     def test_degenerate_spec_fails(self):
         spec = FamilySpec(label="8.24.0.0", base="line", A_expr="t",

@@ -46,6 +46,7 @@ GOLDEN = {
 }
 
 FALSIFY_3 = "6c7747efbb66258e5ba8905db43bf304e700feecf5aedb5071f27e8f10df9355"
+FALSIFY_5 = "90003e8a2c760ad9cc7e3390b1d7babaec951743ee995bfb073d522e5201cb4c"
 CENSUS_16_48_JSON = \
     "5e1c02252dfdf96e982489b022ea66cefa9dd51ebebb84fba93118c50141154d"
 CENSUS_16_48_CSV = \
@@ -67,6 +68,11 @@ def test_group_report_bytes(tmp_path, monkeypatch, command, group):
 def test_falsify_report_bytes():
     rep = report.run(RunConfig(command="falsify", prime=3))
     assert sha256(rep.to_json()) == FALSIFY_3
+
+
+def test_falsify_p5_report_bytes():
+    rep = report.run(RunConfig(command="falsify", prime=5))
+    assert sha256(rep.to_json()) == FALSIFY_5
 
 
 def test_census_report_and_csv_bytes(tmp_path, monkeypatch):

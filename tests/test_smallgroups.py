@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from minimal2 import kernels
+from minimal2 import kernels, minimality
 from minimal2.minimality import SYLOW_PRO2_GENERATORS
 from minimal2.smallgroups import FiniteGroupTable
 from minimal2.subgroups import ambient_generators, sylow_subgroup
@@ -12,6 +12,36 @@ from minimal2.subgroups import ambient_generators, sylow_subgroup
 @pytest.fixture(scope="module")
 def gl2_f3():
     return FiniteGroupTable.from_generators(ambient_generators(3, 3), 3)
+
+
+def one_closure_per_candidate(table, base_idx=None):
+    """Subgroup classes by one closure <S, x> for every candidate x outside
+    each stored S: the enumeration before double cosets were skipped."""
+    base_gens = [int(v) for v in (base_idx or [])]
+    base = table.closure_indices(base_gens)
+    candidates = table.prime_power_order_indices()
+    out = [(base, base_gens)]
+    seen_sets = {base.astype(np.int32).tobytes()}
+    seen_keys = {table.canonical_subgroup_key(base)}
+    head = 0
+    while head < len(out):
+        sub, gens = out[head]
+        head += 1
+        members = set(int(i) for i in sub)
+        for x in candidates:
+            if int(x) in members:
+                continue
+            ext = table.closure_indices(gens + [int(x)])
+            kb = ext.astype(np.int32).tobytes()
+            if kb in seen_sets:
+                continue
+            seen_sets.add(kb)
+            key = table.canonical_subgroup_key(ext)
+            if key in seen_keys:
+                continue
+            seen_keys.add(key)
+            out.append((ext, gens + [int(x)]))
+    return out
 
 
 class TestTableBasics:
@@ -95,6 +125,31 @@ class TestSubgroupMachinery:
         for idx, gens in classes:
             assert np.array_equal(gl2_f3.closure_indices(gens), idx)
             assert 48 % len(idx) == 0
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_subgroup_classes_match_one_closure_per_candidate(self, p):
+        table = FiniteGroupTable.from_generators(ambient_generators(p, p), p)
+        got = table.subgroup_classes()
+        want = one_closure_per_candidate(table)
+        assert len(got) == len(want) == {3: 16, 5: 48}[p]
+        for (idx, gens), (want_idx, want_gens) in zip(got, want):
+            assert idx.dtype == want_idx.dtype
+            assert np.array_equal(idx, want_idx)
+            assert gens == want_gens
+
+    def test_one_closure_per_double_coset_in_the_p5_falsifier(self, monkeypatch):
+        # one closure per candidate element made 11718 calls
+        calls = []
+        real = FiniteGroupTable.closure_indices
+
+        def spy(self, gen_idx):
+            calls.append(len(gen_idx))
+            return real(self, gen_idx)
+
+        monkeypatch.setattr(FiniteGroupTable, "closure_indices", spy)
+        rep = minimality.falsify_odd_prime(5)
+        assert rep.subgroup_classes == 48
+        assert len(calls) == 1233
 
     def test_sylow_subgroup(self, gl2_f3):
         for q, size in ((2, 16), (3, 3), (5, 1)):
