@@ -220,79 +220,85 @@ def quad_sqrt(r: Rational) -> "QuadFieldElem | Fraction":
 
 
 class PrimeFieldElem:
-    """An element of F_p for an odd prime p, stored reduced."""
+    """An element of F_p for an odd prime p, stored reduced.
+
+    Field operations build their result with ``_elem``, through the slot
+    descriptors, so each op makes exactly one new element."""
 
     __slots__ = ("p", "value")
 
     def __init__(self, p: int, value: int) -> None:
-        object.__setattr__(self, "p", int(p))
-        object.__setattr__(self, "value", int(value) % int(p))
+        p = int(p)
+        _set_p(self, p)
+        _set_value(self, int(value) % p)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PrimeFieldElem is immutable")
 
-    def _coerce(self, other: object) -> "PrimeFieldElem | None":
-        if isinstance(other, PrimeFieldElem):
+    def _operand(self, other: object) -> "int | None":
+        """The value of a same-field element or of an int, else None."""
+        if type(other) is PrimeFieldElem or isinstance(other, PrimeFieldElem):
             if other.p != self.p:
                 raise ValueError("mixed characteristics")
-            return other
+            return other.value
         if isinstance(other, int):
-            return PrimeFieldElem(self.p, other)
+            return int(other)
         return None
 
     def __add__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.p, self.value + o.value)
+        return _elem(self.p, self.value + o)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.p, self.value - o.value)
+        return _elem(self.p, self.value - o)
 
     def __rsub__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return _elem(self.p, o - self.value)
 
     def __mul__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return PrimeFieldElem(self.p, self.value * o.value)
+        return _elem(self.p, self.value * o)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        if o.value == 0:
+        p = self.p
+        if o % p == 0:
             raise ZeroDivisionError("division by zero in F_p")
-        return PrimeFieldElem(self.p, self.value * pow(o.value, -1, self.p))
+        return _elem(p, self.value * pow(o, -1, p))
 
     def __rtruediv__(self, other: object) -> "PrimeFieldElem":
-        o = self._coerce(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o / self
+        if self.value == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return _elem(self.p, o * pow(self.value, -1, self.p))
 
     def __neg__(self) -> "PrimeFieldElem":
-        return PrimeFieldElem(self.p, -self.value)
+        return _elem(self.p, -self.value)
 
     def __pow__(self, exponent: int) -> "PrimeFieldElem":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent < 0:
-            if self.value == 0:
-                raise ZeroDivisionError("division by zero in F_p")
-            return PrimeFieldElem(self.p, pow(self.value, exponent, self.p))
-        return PrimeFieldElem(self.p, pow(self.value, exponent, self.p))
+        if exponent < 0 and self.value == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return _elem(self.p, pow(self.value, exponent, self.p))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -306,6 +312,21 @@ class PrimeFieldElem:
 
     def __repr__(self) -> str:
         return f"PrimeFieldElem({self.p}, {self.value})"
+
+
+# The slot descriptors set the fields directly, past the __setattr__ that
+# keeps the element immutable to everyone else.
+_set_p = PrimeFieldElem.p.__set__
+_set_value = PrimeFieldElem.value.__set__
+_new = object.__new__
+
+
+def _elem(p: int, value: int) -> PrimeFieldElem:
+    """The element value mod p of F_p, for ints p and value."""
+    e = _new(PrimeFieldElem)
+    _set_p(e, p)
+    _set_value(e, value % p)
+    return e
 
 
 FieldElem = Union[Fraction, int, QuadFieldElem, PrimeFieldElem]

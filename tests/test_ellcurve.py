@@ -2,9 +2,11 @@
 
 import ast
 import json
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +126,73 @@ class TestPrimeField:
     def test_zero_division(self):
         with pytest.raises(ZeroDivisionError):
             PrimeFieldElem(13, 1) / PrimeFieldElem(13, 0)
+        with pytest.raises(ZeroDivisionError):
+            3 / PrimeFieldElem(13, 0)
+        with pytest.raises(ZeroDivisionError):
+            PrimeFieldElem(13, 0) ** -1
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_mixed_characteristics_rejected(self, op):
+        a, b = PrimeFieldElem(13, 5), PrimeFieldElem(11, 3)
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(b, a)
+
+    @pytest.mark.parametrize("name", [
+        "__radd__", "__rsub__", "__rmul__", "__rtruediv__"])
+    def test_reflected_mixed_characteristics_rejected(self, name):
+        with pytest.raises(ValueError):
+            getattr(PrimeFieldElem(13, 5), name)(PrimeFieldElem(11, 3))
+
+    @pytest.mark.parametrize("field", ["p", "value"])
+    def test_immutable(self, field):
+        a = PrimeFieldElem(13, 5)
+        with pytest.raises(AttributeError):
+            setattr(a, field, 7)
+        assert (a.p, a.value) == (13, 5)
+
+    def test_results_reduced_for_negative_and_bool_operands(self):
+        a = PrimeFieldElem(13, 5)
+        cases = [
+            (a + (-20), (5 - 20) % 13),
+            (-20 + a, (5 - 20) % 13),
+            (a - 40, (5 - 40) % 13),
+            (-40 - a, (-40 - 5) % 13),
+            (a * -3, (5 * -3) % 13),
+            (-3 * a, (5 * -3) % 13),
+            (a / -1, 8),
+            (-1 / a, (-pow(5, -1, 13)) % 13),
+            (a + True, 6),
+            (True - a, 9),
+            (a * False, 0),
+            (True / a, pow(5, -1, 13)),
+            (-a, 8),
+            (a ** 3, 125 % 13),
+            (a ** -1, pow(5, -1, 13)),
+            (PrimeFieldElem(13, -27), 12),
+        ]
+        for got, want in cases:
+            assert type(got) is PrimeFieldElem
+            assert got.p == 13 and got.value == want
+            assert type(got.value) is int and 0 <= got.value < 13
+
+    @pytest.mark.parametrize("op", [
+        operator.add, operator.sub, operator.mul, operator.truediv])
+    def test_fraction_operand_not_implemented(self, op):
+        a = PrimeFieldElem(13, 5)
+        with pytest.raises(TypeError):
+            op(a, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2), a)
+
+    @pytest.mark.parametrize("other", [Fraction(1, 2), np.int64(3), 1.5])
+    def test_non_int_operand_gets_not_implemented(self, other):
+        a = PrimeFieldElem(13, 5)
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__"):
+            assert getattr(a, name)(other) is NotImplemented
 
 
 class TestWeierstrassCurve:

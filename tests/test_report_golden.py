@@ -14,6 +14,7 @@ import json
 import pytest
 
 from minimal2 import kernels, report
+from minimal2.ellcurve import load_family_specs
 from minimal2.minimality import SYLOW_PRO2_GENERATORS
 from minimal2.report import RunConfig
 from minimal2.subgroups import ambient_generators
@@ -52,6 +53,18 @@ CENSUS_16_48_JSON = \
 CENSUS_16_48_CSV = \
     "26b5e35c35809937039e653433be2034b03cb0bc5259bd11936789127aa7ae62"
 
+# ``family-check --label <label>`` at the default seed, trials and primes
+FAMILY_CHECK = {
+    "16.48.0.25":
+        "df6c656e14a234bec4e0e1e0f4d3dc96433f933de512bbc6cc7819ec10f7f17a",
+    "32.96.0.1":
+        "5a2b00fcf85e3f389b23eb6b3c16d850d0def4842ad4900a8c5ff80ec1d31544",
+    "32.96.0.2":
+        "725d4ce07a85ba0e1d6806bdef5237b49248bfb92b7bc91e0f7788120d962a6a",
+    "8.24.0.44":
+        "b01d9d782c6c2451aefca17fb25eb1242137c1a7983f8974603cfc0b0ba95446",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -81,3 +94,13 @@ def test_census_report_and_csv_bytes(tmp_path, monkeypatch):
                                index_bound=48, csv_path="census.csv"))
     assert sha256(rep.to_json()) == CENSUS_16_48_JSON
     assert sha256((tmp_path / "census.csv").read_text()) == CENSUS_16_48_CSV
+
+
+def test_family_check_covers_the_family_table():
+    assert sorted(FAMILY_CHECK) == sorted(load_family_specs())
+
+
+@pytest.mark.parametrize("label", sorted(FAMILY_CHECK))
+def test_family_check_report_bytes(label):
+    rep = report.run(RunConfig(command="family-check", label=label))
+    assert sha256(rep.to_json()) == FAMILY_CHECK[label]

@@ -299,6 +299,20 @@ class TestFrattini:
         with pytest.raises(AssertionError):
             H._verify_frattini(bad)
 
+    def test_sweep_rejects_a_phi_element_with_nonzero_coordinates(self):
+        # a square with a nonzero coordinate breaks some edge x g -> x g,
+        # so the edge check alone rejects it
+        H = sylow8()
+        fq = H.frattini_quotient(verify=False)
+        phi = np.flatnonzero((fq._coords == 0) & (H.elements != kernels.IDENTITY))
+        assert len(phi) > 0
+        coords = fq._coords.copy()
+        coords[phi[0]] = 1
+        bad = FrattiniQuotient(rank=fq.rank, basis=fq.basis, _modulus=8,
+                               _elements=fq._elements, _coords=coords)
+        with pytest.raises(AssertionError, match="not multiplicative"):
+            H._verify_frattini(bad)
+
 
 def _fewest_generators(elements, m):
     """Fewest elements that generate the group, by exhaustive search.
