@@ -375,11 +375,7 @@ class WeierstrassCurve:
         return self.discriminant() == 0
 
     def j_invariant(self) -> FieldElem:
-        delta = self.discriminant()
-        if delta == 0:
-            raise SingularCurveError("j-invariant of a singular curve")
-        c = self.c4()
-        return c * c * c / delta
+        return _j_invariant(self, self.discriminant())
 
     def twist(self, D: FieldElem) -> "WeierstrassCurve":
         """Quadratic twist by D != 0: (A, B) -> (D*A, D^2*B)."""
@@ -584,13 +580,21 @@ def _random_base_point(spec: FamilySpec, p: int, rng: random.Random) -> dict:
 _SPECIALIZATION_PRIME_START = 401
 
 
-def _check_lattice_relations(E: WeierstrassCurve, p: int,
+def _j_invariant(E: WeierstrassCurve, delta: FieldElem) -> FieldElem:
+    """c4^3 / delta, given the curve's discriminant delta."""
+    if delta == 0:
+        raise SingularCurveError("j-invariant of a singular curve")
+    c = E.c4()
+    return c * c * c / delta
+
+
+def _check_lattice_relations(E: WeierstrassCurve, delta: FieldElem, p: int,
                              rng: random.Random) -> list[str]:
     """All twist/isogeny identities that must hold at a nonsingular
-    specialization.  Returns a list of failure descriptions."""
+    specialization with discriminant delta.  Returns a list of failure
+    descriptions.  Each curve's discriminant is computed once."""
     bad: list[str] = []
-    j = E.j_invariant()
-    delta = E.discriminant()
+    j = _j_invariant(E, delta)
     if E.twist(PrimeFieldElem(p, 1)) != E:
         bad.append("twist by 1 is not the identity")
     mm = E.twist(PrimeFieldElem(p, -1)).twist(PrimeFieldElem(p, -1))
@@ -602,9 +606,10 @@ def _check_lattice_relations(E: WeierstrassCurve, p: int,
         if DD == 0:
             continue
         Et = E.twist(DD)
-        if Et.j_invariant() != j:
+        delta_t = Et.discriminant()
+        if _j_invariant(Et, delta_t) != j:
             bad.append(f"j changed under twist by {D}")
-        if Et.discriminant() != DD ** 6 * delta:
+        if delta_t != DD ** 6 * delta:
             bad.append(f"discriminant not scaled by D^6 under twist by {D}")
     E2 = E.two_isogenous()
     if E2.is_singular():
@@ -636,11 +641,12 @@ def family_identity_check(spec: FamilySpec, trials: int = 40,
         for _ in range(trials):
             point = _random_base_point(spec, p, rng)
             E = spec.curve_at(point)
-            if E.is_singular():
+            delta = E.discriminant()
+            if delta == 0:
                 singular += 1
                 continue
             nonsingular += 1
-            bad = _check_lattice_relations(E, p, rng)
+            bad = _check_lattice_relations(E, delta, p, rng)
             if bad:
                 failures.append({
                     "prime": p,

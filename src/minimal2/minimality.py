@@ -26,11 +26,16 @@ lemma is re-checked by brute force over the unit groups (Z/2^k)^* in
 ``verify_unit_square_lemma``.
 
 The census walks downward from the pro-2 Sylow subgroup (index 3, level 2)
-through index-2 subgroups, pruning children whose determinant image drops,
-whose level exceeds the bound, or whose index exceeds the bound.  The prune
-is complete: any minimal H below the bounds sits under a maximal chain inside
-the Sylow, every intermediate group above a det-full group is det-full, and
-level and index only grow downward.
+through index-2 subgroups, pruning children whose determinant image drops
+or whose level exceeds the bound, and expanding a node of Frattini rank r
+and index idx only when idx * 2^(r-2) <= index bound (the rank bound; it
+keeps every child's index within the bound).  The prune is complete: any
+minimal H below the bounds sits under a maximal chain inside the Sylow,
+every intermediate group above a det-full group is det-full, and level and
+index only grow downward.  For the rank bound: an index-2 subgroup K of a
+pro-2 group G contains Phi(G) and has Phi(K) <= Phi(G), so K/Phi(K) maps
+onto K/Phi(G) = F_2^(rank G - 1) and rank K >= rank G - 1; reaching rank 2
+from rank r takes at least r - 2 halvings, each doubling the index.
 """
 
 from __future__ import annotations
@@ -330,9 +335,20 @@ def census(level_bound: int = 64, index_bound: int = 96,
     Walks index-2 descent from the pro-2 Sylow subgroup.  A node of Frattini
     rank 2 is a minimal class (recorded, not descended: its maximal subgroups
     have deficient determinant); a node of higher rank contributes exactly its
-    det-full, level-bounded, index-bounded hyperplane children.  Conjugate
-    duplicates are cut by canonical-key digests at the level modulus.  Every
-    entry is re-certified by ``is_minimal`` before it is returned.
+    det-full, level-bounded hyperplane children, provided a rank-2
+    descendant can still fit under the index bound.  Conjugate duplicates are
+    cut by canonical-key digests at the level modulus.  Every entry is
+    re-certified by ``is_minimal`` before it is returned.
+
+    The rank bound: let K be an index-2 subgroup of a pro-2 group G of
+    Frattini rank r.  Then Phi(G) <= K, and Phi(K) <= Phi(G) because the
+    squares of K are squares of G, so K/Phi(K) maps onto K/Phi(G) = F_2^(r-1)
+    and rank(K) >= r - 1.  Each step halves the group and doubles the index,
+    so a rank-2 descendant of a node of rank r and index idx has index at
+    least idx * 2^(r-2); a node with idx << (r - 2) above the bound is not
+    expanded.  Rank and index are conjugacy invariants and the bound only
+    grows downward, so the cut subtrees hold no entry, and every entry keeps
+    the representative the uncut walk pops first.
 
     Each candidate child is reduced once: its level search starts at the
     parent's level and keeps the image mod the level, which both prunes by
@@ -369,7 +385,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 continue
             if fq.rank < 2:
                 raise AssertionError("det-full 2-group with rank < 2")
-            if 2 * idx > index_bound:
+            if idx << (fq.rank - 2) > index_bound:
                 continue
             images = _hyperplane_det_images(fq, HM.modulus)
             for mu in range(1, 1 << fq.rank):

@@ -46,14 +46,14 @@ def test_numba_flag_exists():
     assert hasattr(minimal2.kernels, "_USE_NUMBA")
 
 
-# Counts for census(16, 24) from the pop-time census loop, which called
-# own_digest once per popped candidate and conjugacy_digests once per kept
-# node.
-CENSUS_16_24_CANDIDATES = 965
-CENSUS_16_24_KEPT = 338
+# Counts for census(16, 24), which expands a node of rank r and index idx
+# only when idx * 2^(r-2) is within the index bound.  own_digest is called
+# once per popped candidate and conjugacy_digests once per kept node.
+CENSUS_16_24_CANDIDATES = 125
+CENSUS_16_24_KEPT = 63
 # Children built (Schreier generators taken) after the seen test at
-# creation; the pop-time loop built all 964 non-root candidates.
-CENSUS_16_24_BUILT = 568
+# creation.
+CENSUS_16_24_BUILT = 78
 
 
 def test_census_digest_calls_count_candidates_and_kept_nodes(monkeypatch):

@@ -266,7 +266,8 @@ class TestFalsifier:
 def _pop_time_census_nodes(level_bound, index_bound):
     """(level, own digest) of the kept census nodes, in order, by the
     earlier pop-time path: every child is pushed once it passes the level
-    bound, and its level, reduction and digest are computed when popped."""
+    bound, and its level, reduction and digest are computed when popped.
+    A node is expanded under the same rank bound as the census."""
     from minimal2.minimality import (
         _hyperplane_det_images,
         _model_at,
@@ -287,7 +288,7 @@ def _pop_time_census_nodes(level_bound, index_bound):
         kept.append((lvl, HL.own_digest()))
         HM = _model_at(H, certifying_modulus(lvl))
         fq = HM.frattini_quotient(verify=False)
-        if fq.rank == 2 or 2 * idx > index_bound:
+        if fq.rank == 2 or idx * 2 ** (fq.rank - 2) > index_bound:
             continue
         images = _hyperplane_det_images(fq, HM.modulus)
         for mu in range(1, 1 << fq.rank):
@@ -302,8 +303,8 @@ def _pop_time_census_nodes(level_bound, index_bound):
 
 
 @pytest.fixture(scope="module")
-def traced_census_16_24():
-    """census(16, 24) with its models recorded: every group passed to
+def traced_census_16_48():
+    """census(16, 48) with its models recorded: every group passed to
     _model_at with the model returned, and (level, own digest) of every
     kept node."""
     popped, models, kept = [], [], []
@@ -322,7 +323,7 @@ def traced_census_16_24():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(minimality, "_model_at", record_model_at)
         mp.setattr(OpenSubgroup, "conjugacy_digests", record_digests)
-        entries = minimality.census(16, 24)
+        entries = minimality.census(16, 48)
     return entries, popped, models, kept
 
 
@@ -347,18 +348,63 @@ class TestHyperplaneDetImages:
         assert HM.modulus == 16
         assert self._check(HM) == 5
 
-    def test_every_census_node(self, traced_census_16_24):
-        _, _, models, _ = traced_census_16_24
+    def test_every_census_node(self, traced_census_16_48):
+        _, _, models, _ = traced_census_16_48
         ranks = [self._check(HM) for HM in models]
         assert len(ranks) > 100
         assert max(ranks) >= 3 and min(ranks) == 2
 
 
+class TestRankBound:
+    def test_hyperplane_children_lose_at_most_one_rank(self, traced_census_16_48):
+        """rank(K) >= rank(H) - 1 for every det-full hyperplane child K of a
+        census node H of rank >= 3, each rank read at its own certifying
+        modulus; the census's rank bound rests on it."""
+        from minimal2.subgroups import UNIT_RESIDUES_MOD_8
+
+        _, _, models, _ = traced_census_16_48
+        children = tight = 0
+        for HM in models:
+            fq = HM.frattini_quotient(verify=False)
+            if fq.rank < 3:
+                continue
+            images = minimality._hyperplane_det_images(fq, HM.modulus)
+            for mu in range(1, 1 << fq.rank):
+                if images[mu - 1] != UNIT_RESIDUES_MOD_8:
+                    continue
+                K = HM.hyperplane_subgroup(mu)
+                KM = minimality._model_at(
+                    K, minimality.certifying_modulus(K.level()))
+                rank = KM.frattini_quotient(verify=False).rank
+                assert rank >= fq.rank - 1
+                children += 1
+                tight += rank == fq.rank - 1
+        assert children > 1000
+        # the bound is reached, so a weaker bound would be visible here
+        assert tight > 0
+
+
+# sha256 of json.dumps([e.to_json_dict() for e in census(lb, ib)]), recorded
+# before the census had its rank bound.
+CENSUS_JSON_SHA256 = {
+    (32, 96): "eb08b31c512457dc150e8d541a9d7f00756b97e07cf1545928790555b5be8b12",
+    (16, 192): "e5ad9532b7b477d16ed458ef45a96bcd3e7a690d7f97be9848cc72530b85a04b",
+}
+
+
+@pytest.mark.parametrize("bounds", sorted(CENSUS_JSON_SHA256),
+                         ids=lambda b: f"{b[0]}-{b[1]}")
+def test_census_entry_bytes(bounds):
+    entries = minimality.census(*bounds)
+    blob = json.dumps([e.to_json_dict() for e in entries]).encode()
+    assert hashlib.sha256(blob).hexdigest() == CENSUS_JSON_SHA256[bounds]
+
+
 class TestCensusChildLevels:
     def test_child_levels_and_digests_match_the_pop_time_path(
-            self, traced_census_16_24):
-        entries, popped, _, kept = traced_census_16_24
-        assert len(entries) == 4
+            self, traced_census_16_48):
+        entries, popped, _, kept = traced_census_16_48
+        assert len(entries) == 12
         assert len(kept) > 100
         # every popped node's level, set by the child path, against a fresh
         # object that recomputes it from its generators
@@ -366,4 +412,4 @@ class TestCensusChildLevels:
             fresh = OpenSubgroup(2, H.modulus, H.generators)
             assert H._level == fresh.level()
             assert (fresh.elements == H.elements).all()
-        assert kept == _pop_time_census_nodes(16, 24)
+        assert kept == _pop_time_census_nodes(16, 48)
