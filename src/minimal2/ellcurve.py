@@ -479,15 +479,6 @@ def _compile_poly(text: str, variables) -> Callable[[dict], object]:
     return _compile_node(tree.body, frozenset(variables))
 
 
-def eval_poly(text: str, names: dict) -> object:
-    """Evaluate a polynomial expression in the given variables.
-
-    Only integer literals, the named variables, +, -, * and ** with
-    literal nonnegative integer exponents are accepted.
-    """
-    return _compile_poly(text, names)(names)
-
-
 class FamilySpec:
     """One row of the curve-family table: a label, a base variety and
     polynomial formulas for A and B in the base variables.

@@ -1,12 +1,12 @@
 """Low-level kernels for 2x2 matrices over Z/m packed into single integers.
 
 A matrix [[a, b], [c, d]] with entries reduced mod m (m <= 256) is stored as
-``a | b<<8 | c<<16 | d<<24``.  This is the only matrix representation: a
-single matrix is a Python int, and element sets are sorted int64 numpy
-arrays of packed values, which makes membership a binary search and lets the
-breadth-first closure run over flat arrays.  Scalar ``mul``/``inv``/``det``/
-``neg`` serve single matrices, and ``order_array`` is the one element-order
-routine.
+``a | b<<8 | c<<16 | d<<24``, below 2^32.  This is the only matrix
+representation: a single matrix is a Python int, and element sets are sorted
+uint32 numpy arrays of packed values, which makes membership a binary search
+and lets the breadth-first closure run over flat arrays.  No other module
+names the dtype of a packed array.  Scalar ``mul``/``inv``/``det``/``neg``
+serve single matrices, and ``order_array`` is the one element-order routine.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
 each generator at once, and conjugation maps a stacked layer of element
@@ -15,10 +15,10 @@ Bulk arithmetic unpacks the entries to int32 and reduces with a bit mask
 when m is a power of 2, with % otherwise.
 
 Set operations are sort-based: ``unique`` sorts and keeps each value that
-differs from the one before it, and membership is ``in_sorted``, a binary
-search.  numpy 2's ``np.unique`` (which ``np.union1d`` calls) builds a hash
-table for these int64 arrays and is about ten times slower on a few
-thousand values.
+differs from the one before it (numpy 2's hashing ``np.unique`` is about ten
+times slower on a few thousand values), and membership is a binary search.
+``np.searchsorted`` of a uint32 set and a Python int or an int64 array first
+copies the set to int64, so ``index_of`` casts the scalar.
 """
 
 from __future__ import annotations
@@ -86,21 +86,27 @@ def neg(x: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def as_packed(values) -> np.ndarray:
+    """Packed ints, or arrays of them, as a packed array (no copy if one)."""
+    return np.asarray(values, dtype=np.uint32)
+
+
+def big_endian(xs: np.ndarray) -> np.ndarray:
+    """xs as big-endian uint32: the byte format of digests and keys."""
+    return xs.astype(">u4")
+
+
 def unpack_array(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Entry arrays (a, b, c, d) as int32.  Entries are below 256, so every
     product and every sum or difference of two products fits."""
-    # the cast to uint32 keeps the low 32 bits; read as int32, d >= 128 makes
-    # the value negative, and the masks drop the sign bits a shift brings in
-    u = np.asarray(xs).astype(np.uint32).view(np.int32)
+    # read as int32, d >= 128 makes the value negative, and the masks drop
+    # the sign bits a shift brings in
+    u = as_packed(xs).view(np.int32)
     return u & 255, (u >> 8) & 255, (u >> 16) & 255, (u >> 24) & 255
 
 
 def pack_array(a, b, c, d) -> np.ndarray:
-    """Packed int64 array from entry arrays with values in 0..255."""
-    return _pack_uint32(a, b, c, d).astype(np.int64)
-
-
-def _pack_uint32(a, b, c, d) -> np.ndarray:
+    """Packed array from entry arrays with values in 0..255."""
     # d << 24 sets the sign bit of an int32 when d >= 128; the cast to
     # uint32 reads the same bits back as a non-negative value.
     return (a | (b << 8) | (c << 16) | (d << 24)).astype(np.uint32)
@@ -223,7 +229,7 @@ def lift_array(xs: np.ndarray, m: int, m2: int) -> np.ndarray:
     if m2 % m != 0 or m2 > MAX_PACK_MODULUS:
         raise ValueError(f"bad lift {m} -> {m2}")
     r = m2 // m
-    t = np.arange(r, dtype=np.int64)
+    t = np.arange(r, dtype=np.uint32)
     offs = (
         t[:, None, None, None]
         | (t[None, :, None, None] << 8)
@@ -244,9 +250,14 @@ def unique(xs: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
+def index_of(sorted_set: np.ndarray, x: int) -> int:
+    """Position of the packed matrix x in the sorted set, -1 when absent."""
+    i = int(np.searchsorted(sorted_set, np.uint32(x)))
+    return i if i < sorted_set.shape[0] and sorted_set[i] == x else -1
+
+
 def contains(sorted_set: np.ndarray, x: int) -> bool:
-    i = np.searchsorted(sorted_set, x)
-    return bool(i < sorted_set.shape[0] and sorted_set[i] == x)
+    return index_of(sorted_set, x) >= 0
 
 
 def in_sorted(xs: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
@@ -269,9 +280,9 @@ def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
     the closure would pass cap elements.
     """
     gens = sorted({int(g) for g in gens} - {IDENTITY})
-    known = np.array([IDENTITY], dtype=np.int64)
+    known = as_packed([IDENTITY])
     if seeds is not None:
-        known = unique(np.append(np.asarray(seeds, dtype=np.int64), IDENTITY))
+        known = unique(np.concatenate([known, as_packed(seeds)]))
     frontier = known
     g = _entry_columns(gens, 1)
     while gens:
@@ -296,18 +307,16 @@ def _entry_columns(gens, ndim: int) -> list[np.ndarray]:
             for col in zip(*map(unpack, gens))]
 
 
-def conjugate_set(xs: np.ndarray, g, m: int) -> np.ndarray:
+def conjugate_set(xs: np.ndarray, gens, m: int) -> np.ndarray:
     """Packed sets {g x g^-1}, sorted along the last axis of xs.
 
-    xs is one set (1-D) or a stack of sets, one per row.  g is one packed
-    generator, or a sequence of them; a sequence adds a leading axis with
-    one slice per generator, all computed in one product.
+    xs is one set (1-D) or a stack of sets, one per row.  gens is a
+    sequence of packed generators; the result has a leading axis with one
+    slice per generator, all computed in one product.
     """
-    xs = np.asarray(xs, dtype=np.int64)
-    one = isinstance(g, (int, np.integer))
-    gens = [int(g)] if one else [int(h) for h in g]
-    g_inv = _entry_columns([inv(h, m) for h in gens], xs.ndim)
+    gens = [int(g) for g in gens]
+    g_inv = _entry_columns([inv(g, m) for g in gens], xs.ndim)
     x_gi = _mul_entries(unpack_array(xs), g_inv, m)
-    out = _pack_uint32(*_mul_entries(_entry_columns(gens, xs.ndim), x_gi, m))
-    out.sort(axis=-1)  # as uint32: half the bytes of an int64 sort
-    return (out[0] if one else out).astype(np.int64)
+    out = pack_array(*_mul_entries(_entry_columns(gens, xs.ndim), x_gi, m))
+    out.sort(axis=-1)
+    return out

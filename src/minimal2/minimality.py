@@ -596,8 +596,7 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
                 f"falsifier failed for p={p}, class {ci}: no lift of the "
                 "primitive-det element has full det order mod p^2; this "
                 "would contradict the odd-prime non-minimality argument")
-        cyc_order = int(kernels.order_array(
-            np.array([witness], dtype=np.int64), p * p)[0])
+        cyc_order = int(kernels.order_array(kernels.as_packed([witness]), p * p)[0])
         preimage_order = len(sub) * p ** 4
         if cyc_order >= preimage_order:
             raise AssertionError("cyclic witness is not proper")

@@ -50,7 +50,7 @@ class FiniteGroupTable:
                 raise ValueError("element set is not closed under multiplication")
             table[i] = pos
         self.table = table
-        self.identity = int(np.searchsorted(elements, kernels.IDENTITY))
+        self.identity = kernels.index_of(elements, kernels.IDENTITY)
         inv = np.empty(n, dtype=np.int32)
         rows, cols = np.nonzero(table == self.identity)
         inv[rows] = cols
@@ -62,7 +62,7 @@ class FiniteGroupTable:
     @classmethod
     def from_generators(cls, gens_packed, modulus: int) -> "FiniteGroupTable":
         elems = kernels.closure(list(gens_packed), modulus, cap=TABLE_BUDGET)
-        gen_idx = [int(np.searchsorted(elems, g)) for g in gens_packed]
+        gen_idx = [kernels.index_of(elems, g) for g in gens_packed]
         return cls(elems, modulus, generator_indices=gen_idx)
 
     # -- per-element data ----------------------------------------------------

@@ -79,15 +79,11 @@ class FrattiniQuotient:
     _coords: np.ndarray  # uint32, parallel to _elements, basis-adapted
 
     def coords(self, x: int) -> tuple[int, ...]:
-        i = int(np.searchsorted(self._elements, x))
-        if i >= len(self._elements) or self._elements[i] != x:
+        i = kernels.index_of(self._elements, x)
+        if i < 0:
             raise ValueError("element not in the subgroup")
         v = int(self._coords[i])
         return tuple((v >> j) & 1 for j in range(self.rank))
-
-    def phi_elements(self) -> np.ndarray:
-        """Element set of Phi(H) itself (the zero-coordinate fiber)."""
-        return self._elements[self._coords == 0]
 
     def hyperplane_mask(self, mu: int) -> np.ndarray:
         """Boolean mask of the index-2 subgroup killed by the functional mu."""
@@ -312,7 +308,7 @@ class OpenSubgroup:
             elements = self.elements
             basis_packed, coords = _frattini_layers(elements, self.modulus)
             rank = len(basis_packed)
-            gens = np.array(self.generators, dtype=np.int64)
+            gens = kernels.as_packed(self.generators)
             missing = "generators do not generate the element set"
             gen_coords = coords[_positions(elements, gens, missing)]
             if _f2_rank(int(c) for c in gen_coords) != rank:
@@ -342,7 +338,7 @@ class OpenSubgroup:
             return coords[_positions(elements, xs, f"{what} outside the element set")]
 
         for gp in self.generators:
-            gc = coords_of(np.array([gp], dtype=np.int64), "a generator")[0]
+            gc = coords_of(kernels.as_packed([gp]), "a generator")[0]
             xg = kernels.mul_array_scalar(elements, gp, m)
             if not (coords_of(xg, "a product x g") == (coords ^ gc)).all():
                 raise AssertionError("coordinates are not multiplicative")
@@ -390,7 +386,8 @@ class OpenSubgroup:
         """sha256 of (level | index | element bytes); conjugates of this
         subgroup produce digests inside conjugacy_digests()."""
         prefix = f"{self.level()}|{self.index_in_ambient()}|".encode()
-        return hashlib.sha256(prefix + self.elements.astype(">u4").tobytes()).digest()
+        kb = kernels.big_endian(self.elements).tobytes()
+        return hashlib.sha256(prefix + kb).digest()
 
     def conjugacy_digests(self) -> set[bytes]:
         """own_digest of every member of the conjugation orbit."""
@@ -420,14 +417,14 @@ class OpenSubgroup:
         members = max(1, _ORBIT_BATCH // (len(amb) * s))  # per call
         gens = max(1, _ORBIT_BATCH // s)  # per call
         layer = self.elements[None, :]
-        orbit = {self.elements.astype(">u4").tobytes()}
+        orbit = {kernels.big_endian(self.elements).tobytes()}
         while len(layer):
             fresh = []
             for lo in range(0, len(layer), members):
                 for glo in range(0, len(amb), gens):
                     conj = kernels.conjugate_set(layer[lo:lo + members],
                                                  amb[glo:glo + gens], m).reshape(-1, s)
-                    big_endian = conj.astype(">u4")
+                    big_endian = kernels.big_endian(conj)
                     for i in range(len(conj)):
                         kb = big_endian[i].tobytes()
                         if kb not in orbit:
@@ -436,7 +433,7 @@ class OpenSubgroup:
                                     f"conjugation orbit exceeds {ORBIT_BUDGET}")
                             orbit.add(kb)
                             fresh.append(conj[i])
-            layer = np.array(fresh, dtype=np.int64).reshape(-1, s)
+            layer = kernels.as_packed(fresh).reshape(-1, s)
         self._orbit = frozenset(orbit)
         return self._orbit
 

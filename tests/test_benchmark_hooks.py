@@ -6,12 +6,20 @@ run is traced, and ``perfbench/worker.py`` records
 ``perfbench/run.py --trace 1`` fails here instead.  The spans module is
 loaded by path and nothing is wrapped.
 
+The workloads, the worker and the self-test read further names, such as
+``lie2adic.PrecisionMatrix.from_entries``.  The workloads run each
+operation through ``_try``, which counts a missing name as a failed
+operation rather than stopping the run, so every attribute path those
+files read from minimal2 (found by walking their syntax trees) must
+resolve here.
+
 The trace counts census pops as ``OpenSubgroup.own_digest`` calls and kept
 nodes as ``conjugacy_digests`` calls, so the census must make exactly one
 of each per candidate and per kept node for those counters to keep their
 meaning.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -22,7 +30,9 @@ import minimal2
 from minimal2 import minimality
 from minimal2.subgroups import OpenSubgroup
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+READERS = ("workloads.py", "worker.py", "selftest.py")
 
 
 def load_spans():
@@ -40,6 +50,49 @@ def test_traced_layer_resolves(owner, attr):
     if cls:
         target = getattr(target, cls)
     assert callable(getattr(target, attr))
+
+
+def minimal2_paths(source: str) -> set[str]:
+    """Dotted paths, from minimal2, of every attribute chain in the source
+    whose root name is bound by ``import minimal2`` or ``from minimal2
+    import ...``."""
+    tree = ast.parse(source)
+    roots = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update((a.asname or "minimal2", "minimal2") for a in node.names
+                         if a.name.split(".")[0] == "minimal2")
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "minimal2"):
+            roots.update((a.asname or a.name, f"{node.module}.{a.name}")
+                         for a in node.names)
+    paths = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in roots:
+            paths.add(".".join([roots[node.id], *reversed(parts)]))
+    return paths
+
+
+READ_PATHS = sorted(set().union(*(minimal2_paths((PERFBENCH / name).read_text())
+                                  for name in READERS)))
+
+
+def test_reader_walk_finds_known_paths():
+    for path in ("minimal2.lie2adic.PrecisionMatrix.from_entries",
+                 "minimal2.modcurve.label", "minimal2.kernels._USE_NUMBA",
+                 "minimal2.minimality.census"):
+        assert path in READ_PATHS
+
+
+@pytest.mark.parametrize("path", READ_PATHS)
+def test_read_path_resolves(path):
+    target = importlib.import_module("minimal2")
+    for attr in path.split(".")[1:]:
+        target = getattr(target, attr)
 
 
 def test_numba_flag_exists():

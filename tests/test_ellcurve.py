@@ -18,9 +18,9 @@ from minimal2.ellcurve import (
     QuadFieldElem,
     SingularCurveError,
     WeierstrassCurve,
+    _compile_poly,
     _random_base_point,
     _sqrt_mod_prime,
-    eval_poly,
     family_identity_check,
     load_family_specs,
     quad_sqrt,
@@ -310,6 +310,11 @@ class TestConicPoints:
         # a^2 = -1 - b^2 are drawn
         pts = set(self.draw(5, 200))
         assert sorted(pts) == [(0, 2), (0, 3), (2, 0), (3, 0)]
+
+
+def eval_poly(text, names):
+    """Compile the polynomial in the given variables, then evaluate it."""
+    return _compile_poly(text, names)(names)
 
 
 class TestEvalPoly:

@@ -69,7 +69,7 @@ class TestScalarOps:
 
     def test_reduce_and_neg(self):
         x = kernels.pack(5, 6, 7, 1)
-        reduced = kernels.reduce_array(np.array([x], dtype=np.int64), 2)
+        reduced = kernels.reduce_array(kernels.as_packed([x]), 2)
         assert kernels.unpack(int(reduced[0])) == (1, 0, 1, 1)
         assert kernels.unpack(kernels.neg(x, 8)) == (3, 2, 1, 7)
 
@@ -88,7 +88,8 @@ class TestClosure:
     def test_closure_is_sorted_and_unique(self):
         gens = [kernels.pack(1, 1, 0, 1), kernels.pack(3, 0, 0, 1)]
         got = kernels.closure(gens, 8)
-        assert (np.diff(got) > 0).all()
+        # compared, not differenced: a uint32 difference wraps
+        assert (got[1:] > got[:-1]).all()
 
     def test_closure_idempotent(self):
         gens = [kernels.pack(3, 0, 0, 1), kernels.pack(5, 0, 0, 1)]
@@ -119,7 +120,7 @@ class TestBulkOps:
 
         group = kernels.closure(ambient_generators(2, 8), 8)
         g = kernels.pack(1, 1, 0, 1)
-        conj = kernels.conjugate_set(group, g, 8)
+        conj = kernels.conjugate_set(group, [g], 8)[0]
         assert len(conj) == len(group)
         assert (conj == group).all()  # whole group is conjugation-stable
 
@@ -177,7 +178,7 @@ class TestUnique:
     def test_random_packed_arrays_match_np_unique(self, seed):
         rng = np.random.default_rng(seed)
         pool = rng.integers(0, 1 << 32, size=300)
-        xs = rng.choice(pool, size=2000)
+        xs = kernels.as_packed(rng.choice(pool, size=2000))
         assert (kernels.unique(xs) == np.unique(xs)).all()
 
 
@@ -188,7 +189,7 @@ def _unit_matrices(rng, m, size):
         e = tuple(int(v) for v in rng.integers(0, m, size=4))
         if np.gcd((e[0] * e[3] - e[1] * e[2]) % m, m) == 1:
             out.append(e)
-    return np.array([kernels.pack(*e) for e in out], dtype=np.int64)
+    return kernels.as_packed([kernels.pack(*e) for e in out])
 
 
 # m = 256 and 32 take the mask reduction, 9 and 25 the % reduction.
@@ -200,7 +201,7 @@ class TestBulkArithmeticMatchesScalar:
         v = np.arange(256)
         cols = [v, (v + 85) % 256, (v * 7 + 3) % 256, 255 - v]
         packed = kernels.pack_array(*cols)
-        assert packed.dtype == np.int64 and (packed >= 0).all()
+        assert packed.dtype == np.uint32
         assert int(packed.max()) >= 1 << 31  # d >= 128 sets bit 31
         for i in range(256):
             assert int(packed[i]) == kernels.pack(*(int(c[i]) for c in cols))
@@ -250,15 +251,15 @@ class TestBulkArithmeticMatchesScalar:
         gens = [int(g) for g in _unit_matrices(rng, m, 3)]
         out = kernels.conjugate_set(xs, gens, m)
         assert out.shape == (3, 5, 40)
-        assert out.dtype == np.int64
+        assert out.dtype == np.uint32
         for j, g in enumerate(gens):
-            one = kernels.conjugate_set(xs, g, m)
-            assert one.shape == (5, 40)
-            assert (one == out[j]).all()
+            one = kernels.conjugate_set(xs, [g], m)
+            assert one.shape == (1, 5, 40)
+            assert (one[0] == out[j]).all()
             for i in range(5):
                 ref = np.sort(kernels.conj_array(xs[i], g, m))
                 assert (out[j, i] == ref).all()
-                assert (kernels.conjugate_set(xs[i], g, m) == ref).all()
+                assert (kernels.conjugate_set(xs[i], [g], m)[0] == ref).all()
         # one set by a sequence of generators: one row per generator
         assert (kernels.conjugate_set(xs[0], gens, m) == out[:, 0]).all()
 
@@ -270,3 +271,99 @@ class TestBulkArithmeticMatchesScalar:
         assert det.tolist() == [kernels.det(int(x), m) for x in xs]
         with pytest.raises(ValueError):
             kernels.inv_array(np.append(xs[:1], kernels.pack(0, 0, 0, 0)), m)
+
+
+def py_pack(e):
+    """Plain-Python packing of an entry tuple (a, b, c, d)."""
+    return e[0] + 256 * e[1] + 65536 * e[2] + 16777216 * e[3]
+
+
+def py_unpack(x):
+    return (x % 256, x // 256 % 256, x // 65536 % 256, x // 16777216)
+
+
+def py_inv(e, m):
+    """Inverse of an invertible entry tuple mod m, by the adjugate."""
+    a, b, c, d = e
+    di = pow((a * d - b * c) % m, -1, m)
+    return ((d * di) % m, (-b * di) % m, (-c * di) % m, (a * di) % m)
+
+
+def py_closure(gens, m, seeds=()):
+    """Packed elements of <gens, seeds> mod m, by a plain-Python search."""
+    known = {py_pack((1, 0, 0, 1))} | set(seeds)
+    todo = list(known)
+    while todo:
+        x = py_unpack(todo.pop())
+        for g in gens:
+            y = py_pack(tuple_mul(x, py_unpack(g), m))
+            if y not in known:
+                known.add(y)
+                todo.append(y)
+    return sorted(known)
+
+
+class TestUint32Sets:
+    """Element sets at modulus 256, where entry d >= 128 sets bit 31."""
+
+    # -I, diag(1, 129) and a shear generate 256 elements, half of them
+    # with d >= 128
+    GENS = [py_pack((255, 0, 0, 255)), py_pack((1, 0, 0, 129)),
+            py_pack((1, 4, 0, 1))]
+    CONJ = [py_pack((3, 1, 0, 131)), py_pack((1, 0, 2, 255))]
+
+    def test_closure_with_seeds(self):
+        seeds = py_closure(self.GENS[:2], 256)
+        got = kernels.closure(self.GENS, 256, seeds=kernels.as_packed(seeds))
+        want = py_closure(self.GENS, 256)
+        assert got.dtype == np.uint32
+        assert got.tolist() == want
+        assert max(want) >= 1 << 31
+        assert got.tolist() == kernels.closure(self.GENS, 256).tolist()
+
+    def test_lift_and_reduce(self):
+        base = kernels.closure([py_pack((1, 2, 0, 127)), py_pack((3, 0, 0, 1))], 128)
+        lifted = kernels.lift_array(base, 128, 256)
+        want = sorted(py_pack(tuple(v + 128 * t for v, t in zip(py_unpack(x), ts)))
+                      for x in base.tolist()
+                      for ts in np.ndindex(2, 2, 2, 2))
+        assert lifted.dtype == np.uint32
+        assert lifted.tolist() == want
+        assert int(lifted[-1]) >= 1 << 31
+        for m2 in (128, 2):
+            down = kernels.reduce_array(lifted, m2)
+            assert down.dtype == np.uint32
+            assert down.tolist() == [py_pack(tuple(v % m2 for v in py_unpack(x)))
+                                     for x in want]
+        # the % path of a non-power-of-2 modulus keeps the dtype too
+        assert kernels.reduce_array(lifted, 3).dtype == np.uint32
+
+    def test_conjugate_set_and_in_sorted(self):
+        group = kernels.closure(self.GENS, 256)
+        out = kernels.conjugate_set(group, self.CONJ, 256)
+        assert out.dtype == np.uint32
+        for j, g in enumerate(self.CONJ):
+            gi = kernels.inv(g, 256)
+            assert py_pack(py_inv(py_unpack(g), 256)) == gi
+            scalar = sorted(kernels.mul(kernels.mul(g, int(x), 256), gi, 256)
+                            for x in group)
+            oracle = sorted(py_pack(tuple_mul(tuple_mul(py_unpack(g), py_unpack(x), 256),
+                                              py_inv(py_unpack(g), 256), 256))
+                            for x in group.tolist())
+            assert out[j].tolist() == scalar == oracle
+            members = set(group.tolist())
+            mask = kernels.in_sorted(out[j], group)
+            assert mask.tolist() == [x in members for x in oracle]
+        # the upper triangular conjugator normalizes the group; the lower
+        # one moves all but 8 elements out of it
+        assert kernels.in_sorted(out[0], group).sum() == 256
+        assert kernels.in_sorted(out[1], group).sum() == 8
+
+    def test_outputs_are_uint32(self):
+        from minimal2.subgroups import OpenSubgroup
+
+        cols = [np.arange(256) for _ in range(4)]
+        assert kernels.pack_array(*cols).dtype == np.uint32
+        H = OpenSubgroup(2, 256, self.GENS)
+        assert H.elements.dtype == np.uint32
+        assert H.hyperplane_subgroup(1).elements.dtype == np.uint32

@@ -63,14 +63,13 @@ class TestResidueMatrixBasics:
             OpenSubgroup(2, 8, [(2, 0, 0, 1)])
 
     def test_order(self):
-        xs = np.array([I, P(3, 0, 0, 3), P(1, 1, 0, 1)], dtype=np.int64)
+        xs = kernels.as_packed([I, P(3, 0, 0, 3), P(1, 1, 0, 1)])
         assert kernels.order_array(xs[:1], 8).tolist() == [1]
         assert kernels.order_array(xs[1:2], 4).tolist() == [2]
         assert kernels.order_array(xs[2:], 8).tolist() == [8]
 
     def test_reduce(self):
-        xs = np.array([P(5, 0, 0, 1), P(1, 4, 0, 1), P(3, 2, 1, 1)],
-                      dtype=np.int64)
+        xs = kernels.as_packed([P(5, 0, 0, 1), P(1, 4, 0, 1), P(3, 2, 1, 1)])
         assert kernels.reduce_array(xs[:1], 2).tolist() == [I]
         assert kernels.reduce_array(xs[1:2], 4).tolist() == [I]
         assert kernels.reduce_array(xs[2:], 4).tolist() == [P(3, 2, 1, 1)]

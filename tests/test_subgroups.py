@@ -1,5 +1,7 @@
 """Open subgroup models: levels, determinant images, Frattini data."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,13 @@ def rank3_group():
     # a det-full index-2 subgroup of the Sylow, Frattini rank 3
     return OpenSubgroup(2, 8, [(5, 1, 0, 1), (5, 5, 0, 1), (1, 0, 2, 1),
                                (3, 0, 0, 1), (1, 0, 0, 3), (5, 0, 0, 5)])
+
+
+def phi_mask(fq):
+    """Mask of Phi(H) in the element set: the intersection of the
+    hyperplane subgroups ker(e_j), one per basis vector."""
+    return np.logical_and.reduce([fq.hyperplane_mask(1 << j)
+                                  for j in range(fq.rank)])
 
 
 class TestConstruction:
@@ -200,7 +209,7 @@ class TestFrattini:
         H = closure([D31, D51], 8)
         fq = H.frattini_quotient()
         assert fq.rank == 2
-        assert len(fq.phi_elements()) == 1  # Phi = {I} here
+        assert len(H.elements[phi_mask(fq)]) == 1  # Phi = {I} here
 
     def test_coords_are_additive(self):
         H = sylow8()
@@ -247,6 +256,22 @@ class TestFrattini:
         assert H.order() == 1 << 21
         H.frattini_quotient()
         assert calls == [1 << 21]
+
+    def test_scalar_lookups_do_not_copy_the_element_set(self):
+        # np.searchsorted of a uint32 set and a Python int first copies the
+        # set to int64, 8 MB for these 2^20 elements; the lookups cast x
+        H = sylow8().hyperplane_subgroup(1).lift(64)
+        assert H.order() == 1 << 20
+        fq = H.frattini_quotient(verify=False)
+        x = int(H.elements[-1])
+        tracemalloc.start()
+        try:
+            assert kernels.contains(H.elements, x)
+            fq.coords(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rank_is_the_fewest_generators(self):
         # Burnside basis theorem, checked against an exhaustive search
@@ -330,7 +355,7 @@ def _fewest_generators(elements, m):
     while elements.tobytes() not in layer:
         grown = {}
         for kb, gens in layer.items():
-            K = np.frombuffer(kb, dtype=np.int64)
+            K = np.frombuffer(kb, dtype=elements.dtype)
             todo = ~np.isin(elements, K)
             while todo.any():
                 x = int(elements[np.argmax(todo)])
@@ -362,7 +387,7 @@ class TestIndexTwoSubgroups:
     def test_children_contain_phi_and_intersect_to_phi(self):
         H = closure([SHEAR, D31], 8)
         fq = H.frattini_quotient()
-        phi = set(int(x) for x in fq.phi_elements())
+        phi = set(int(x) for x in H.elements[phi_mask(fq)])
         child_sets = [set(int(x) for x in c.elements)
                       for c in H.index2_subgroups()]
         for s in child_sets:
@@ -430,7 +455,7 @@ class TestNilpotency:
             for q in _prime_factors(H.order()):
                 syl = sylow_subgroup(H.elements, H.modulus, q)
                 for g in H.generators:
-                    conj = kernels.conjugate_set(syl, g, H.modulus)
+                    conj = kernels.conjugate_set(syl, [g], H.modulus)[0]
                     if not np.array_equal(conj, syl):
                         return False
             return True
