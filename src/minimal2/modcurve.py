@@ -9,17 +9,26 @@ formula
     g = 1 + m/12 - nu2/4 - nu3/3 - c/2
 
 with m = [SL_2 : H] the PSL index.  No coset is enumerated.  H x is fixed by
-sigma iff x sigma x^-1 lies in H, so nu2 and nu3 are
+sigma iff x sigma x^-1 lies in H, and
 
-    #{x in SL_2(Z/n) : x sigma x^-1 in H} / |H|
+    #{x in SL_2(Z/n) : x sigma x^-1 in H} = |C(sigma)| |Cl(sigma) cap H|,
 
-for the standard elements sigma of order 4 and 3, and the cusps, the orbits
-of the translation U, follow from Burnside's lemma over <U> = Z/n:
+with Cl(sigma) the conjugacy class of sigma in SL_2(Z/n) and C(sigma) its
+centralizer, so nu2 and nu3 are that count over |H| for the standard
+elements sigma of order 4 and 3.  The cusps, the orbits of the translation
+U, follow from Burnside's lemma over <U> = Z/n:
 
     c = sum over x of #{k : x U^k x^-1 in H} / (n |H|).
 
-Each count is a few whole-array passes over the sorted SL_2(Z/n) array
-with a binary-search membership test in H.
+The k in that set form d_x Z/n for a power of 2 d_x, so the same class count
+for U, U^2, U^4, ..., U^(n/2) gives how many x have each d_x.
+
+The classes and centralizer orders depend only on n.  Each class is grown
+once per level, breadth-first under conjugation by the generators of
+SL_2(Z/n), and cached; SL_2(Z/n) itself is never built, since
+|SL_2(Z/2^k)| = 3 * 2^(3k-2) and |C(sigma)| = |SL_2| / |Cl(sigma)|.  A call
+then costs one binary-search membership test in H of each class (at most
+8192 elements at level 128).
 """
 
 from __future__ import annotations
@@ -75,18 +84,35 @@ def adjoin_minus_I(G: OpenSubgroup) -> OpenSubgroup:
     return OpenSubgroup(G.prime, m, [*G.generators, minus], _elements=elems)
 
 
-@lru_cache(maxsize=None)
-def _psl_context(n: int) -> np.ndarray:
-    """Sorted packed SL_2(Z/n), n a power of 2."""
-    sl = kernels.closure([_packed(_U, n), kernels.pack(1, 0, 1, 1)], n)
-    k = (n.bit_length() - 1)
-    if len(sl) != 3 * 2 ** (3 * k - 2):
-        raise AssertionError("SL_2 closure has the wrong order")
-    return sl
-
-
 def _packed(sigma: tuple[int, int, int, int], n: int) -> int:
     return kernels.pack(*(v % n for v in sigma))
+
+
+def _conjugacy_class(sigma: tuple[int, int, int, int], n: int) -> np.ndarray:
+    """Sorted packed class of sigma in SL_2(Z/n): its orbit under
+    conjugation by the generators of SL_2, grown breadth-first."""
+    gens = [_packed(_U, n), kernels.pack(1, 0, 1, 1)]  # U and its transpose
+    cls = frontier = kernels.as_packed([_packed(sigma, n)])
+    while frontier.size:
+        cand = kernels.unique(kernels.conjugate_set(frontier, gens, n).ravel())
+        frontier = cand[~kernels.in_sorted(cand, cls)]
+        cls = kernels.unique(np.concatenate([cls, frontier]))
+    return cls
+
+
+@lru_cache(maxsize=None)
+def _psl_context(n: int) -> tuple[int, tuple[tuple[np.ndarray, int], ...]]:
+    """|SL_2(Z/n)| and the (class, centralizer order) pairs of S, T_3 and
+    U^d for d = 1, 2, 4, ..., n/2, n >= 2 a power of 2."""
+    k = n.bit_length() - 1
+    order = 3 * 2 ** (3 * k - 2)
+    tables = []
+    for sigma in [_S, _T3] + [(1, 1 << j, 0, 1) for j in range(k)]:
+        cls = _conjugacy_class(sigma, n)
+        if order % len(cls):
+            raise AssertionError("class size does not divide |SL_2|")
+        tables.append((cls, order // len(cls)))
+    return order, tuple(tables)
 
 
 def genus(G: OpenSubgroup) -> GenusData:
@@ -103,35 +129,22 @@ def genus(G: OpenSubgroup) -> GenusData:
     elems = Gm.reduce(n).elements
     h_sl = elems[kernels.det_array(elems, n) == 1]
     h = len(h_sl)
-    sl = _psl_context(n)
-    if len(sl) % h:
+    order, tables = _psl_context(n)
+    if order % h:
         raise AssertionError("|H cap SL_2| does not divide |SL_2|")
-    m = len(sl) // h
-    sl_inv = kernels.inv_array(sl, n)
-
-    def fixed(sigma: tuple[int, int, int, int]) -> int:
-        # H x is fixed by sigma iff x sigma x^-1 lies in H
-        conj = kernels.mul_arrays(kernels.mul_array_scalar(sl, _packed(sigma, n), n),
-                                  sl_inv, n)
-        count = int(kernels.in_sorted(conj, h_sl).sum())
-        if count % h:
-            raise AssertionError("fixed-point count is not a multiple of |H cap SL_2|")
-        return count // h
-
-    nu2 = fixed(_S)
-    nu3 = fixed(_T3)
-    # x U^k x^-1 = I + k N_x with N_x = [[-ac, a^2], [-c^2, ac]]; the k that
-    # land in H form d_x Z/n, and d_x is the least divisor of n that does.
-    a, _, c, _ = kernels.unpack_array(sl)
-    ac, aa, cc = a * c, a * a, c * c
-    burnside = 0
-    divisors = [d for d in range(1, n) if n % d == 0]
-    for d in divisors:
-        hit = kernels.in_sorted(kernels.pack_array(
-            (1 - d * ac) % n, (d * aa) % n, (-d * cc) % n, (1 + d * ac) % n), h_sl)
-        burnside += (n // d) * int(hit.sum())
-        ac, aa, cc = ac[~hit], aa[~hit], cc[~hit]
-    burnside += len(ac)  # d_x = n: only U^0
+    m = order // h
+    # #{x : x sigma x^-1 in H} for sigma = S, T_3, U, U^2, ..., U^(n/2)
+    counts = [cent * int(kernels.in_sorted(cls, h_sl).sum()) for cls, cent in tables]
+    if any(count % h for count in counts):
+        raise AssertionError("fixed-point count is not a multiple of |H cap SL_2|")
+    nu2, nu3 = counts[0] // h, counts[1] // h
+    # x U^k x^-1 = I + k N_x, so the k that land in H form d_x Z/n with d_x a
+    # power of 2; the count for U^d is N_d = #{x : d_x | d}, and the N_d nest.
+    nested = [0, *counts[2:], order]
+    if any(a > b for a, b in zip(nested, nested[1:])):
+        raise AssertionError("cusp counts N_d are not nested")
+    burnside = sum((n >> j) * (nested[j + 1] - nested[j])
+                   for j in range(len(nested) - 1))
     if burnside % (n * h):
         raise AssertionError("Burnside sum is not a multiple of n |H cap SL_2|")
     cusps = burnside // (n * h)

@@ -6,7 +6,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from minimal2 import kernels
+from minimal2 import kernels, modcurve
 from minimal2.modcurve import GenusData, adjoin_minus_I, genus, label
 from minimal2.subgroups import OpenSubgroup, ambient_generators, closure
 
@@ -108,6 +108,12 @@ def coset_action_genus(G):
     return m, nu2, nu3, cusps, int(g)
 
 
+def borel(modulus):
+    # upper-triangular Borel mod the modulus, level equal to the modulus
+    return OpenSubgroup(2, modulus, [(1, 1, 0, 1), (3, 0, 0, 1), (5, 0, 0, 1),
+                                     (1, 0, 0, 3), (1, 0, 0, 5)])
+
+
 def genus_tuple(G):
     d = genus(G)
     return d.psl_index, d.nu2, d.nu3, d.cusps, d.genus
@@ -189,6 +195,52 @@ class TestAgainstCosetOracle:
     def test_elliptic_groups_have_elliptic_points(self):
         for modulus, gens in ELLIPTIC_GROUPS:
             assert coset_action_genus(closure(gens, modulus))[1] > 0
+
+
+class TestAboveLevel32:
+    def test_borel_at_level_64_matches_the_oracle(self):
+        H = borel(64)
+        assert H.level() == 64
+        assert genus_tuple(H) == coset_action_genus(H) == (96, 0, 0, 12, 3)
+
+    def test_borel_at_level_128(self):
+        # recorded from the whole-SL_2 fixed-point counts before the class tables
+        H = borel(128)
+        assert H.level() == 128
+        assert genus_tuple(H) == (192, 0, 0, 16, 9)
+
+
+def standard_elements(n):
+    """S, T_3 and U^d for d = 1, 2, 4, ..., n/2: the order of the class tables."""
+    return [(0, -1, 1, 0), (0, -1, 1, -1)] + [(1, 1 << j, 0, 1)
+                                              for j in range(n.bit_length() - 1)]
+
+
+class TestClassTables:
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_classes_and_centralizers_by_brute_force(self, n):
+        sl2 = _sl2_sorted(n)
+        order, tables = modcurve._psl_context(n)
+        assert order == len(sl2)
+        assert len(tables) == len(standard_elements(n))
+        for sigma, (cls, cent) in zip(standard_elements(n), tables):
+            s = tuple(v % n for v in sigma)
+            # x^-1 = (d, -b, -c, a) in SL_2
+            conj = {_mat_mul(_mat_mul(x, s, n), (x[3], -x[1] % n, -x[2] % n, x[0]), n)
+                    for x in sl2}
+            assert [kernels.unpack(int(v)) for v in cls] == \
+                sorted(conj, key=lambda x: kernels.pack(*x)), sigma
+            assert cent == sum(_mat_mul(x, s, n) == _mat_mul(s, x, n) for x in sl2), sigma
+
+    def test_cusp_counts_that_do_not_nest_are_rejected(self, monkeypatch):
+        # N_d counts the x with x U^d x^-1 in H, and these sets grow with d;
+        # for the level-8 Borel N_1, N_2, N_4 = 64, 128, 128, and the tables
+        # of U and U^4 swapped give 128, 128, 64
+        order, tables = modcurve._psl_context(8)
+        swapped = (tables[0], tables[1], tables[4], tables[3], tables[2])
+        monkeypatch.setattr(modcurve, "_psl_context", lambda n: (order, swapped))
+        with pytest.raises(AssertionError, match="nested"):
+            genus(borel(8))
 
 
 class TestGenusInvariance:

@@ -1,5 +1,6 @@
 """Report documents and the command-line front end."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -97,6 +98,38 @@ class TestVerifyAllDriver:
         detail, ok = report._criterion_genus_oracle(cfg, None, [])
         assert ok is False
         assert detail["classical"]["X(1)"] == [0, 0, 0]
+
+    def test_genus_oracle_checks_census_entries_by_coset_action(
+            self, monkeypatch, census8):
+        labelled = []
+        label = report.modcurve.label
+        monkeypatch.setattr(report.modcurve, "label",
+                            lambda G: labelled.append(G) or label(G))
+        detail, ok = report._criterion_genus_oracle(
+            RunConfig(command="verify-all"), None, census8)
+        assert ok is True
+        assert detail["census_coset_checked"] == len(census8) > 0
+        assert detail["census_mismatches"] == []
+        # modcurve labels only the three classical groups
+        assert len(labelled) == 3
+
+    def test_genus_oracle_fails_on_a_corrupted_entry(self, census8):
+        entries = list(census8)
+        entries[1] = dataclasses.replace(entries[1], genus=entries[1].genus + 1)
+        detail, ok = report._criterion_genus_oracle(
+            RunConfig(command="verify-all"), None, entries)
+        assert ok is False
+        assert detail["census_mismatches"] == [1]
+
+    def test_coset_action_genus_of_classical_groups(self):
+        # X_0(2), X(2) and X_0(8) from mod-8 models
+        units = [(3, 0, 0, 1), (1, 0, 0, 3), (5, 0, 0, 1), (1, 0, 0, 5)]
+        assert report._coset_action_genus(
+            [(1, 1, 0, 1), (1, 0, 2, 1)] + units, 8) == (3, 1, 0, 2, 0)
+        assert report._coset_action_genus(
+            [(1, 2, 0, 1), (1, 0, 2, 1)] + units, 8) == (6, 0, 0, 3, 0)
+        assert report._coset_action_genus([(1, 1, 0, 1)] + units, 8) \
+            == (12, 0, 0, 4, 0)
 
     def test_classical_groups_are_the_expected_curves(self):
         got = {name: report.modcurve.label(G)
