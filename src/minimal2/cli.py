@@ -12,6 +12,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
+from .ellcurve import QUADFAMILY_N_MAX
 from .report import COMMANDS, Report, RunConfig, run
 
 
@@ -61,7 +62,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quadfamily",
                        help="discriminant/field/twist checks for the "
                             "power-of-2-discriminant family")
-    p.add_argument("--n-max", type=int, default=20)
+    p.add_argument("--n-max", type=int, default=20,
+                   help=f"check n = 1..N_MAX, at most {QUADFAMILY_N_MAX} "
+                        f"(default 20)")
     common(p)
 
     p = sub.add_parser("family-check",

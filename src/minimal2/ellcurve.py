@@ -9,11 +9,18 @@ discriminant is a power of 2.
 Everything here is exact: rationals are ``fractions.Fraction``, quadratic
 irrationalities carry their squarefree radicand, and prime-field elements
 reduce eagerly.  No floating point is used anywhere in this module.
+
+The curve formulas (discriminant, c4, quadratic twist, 2-isogeny) are
+module-level functions of (A, B), written once for any ring.
+``WeierstrassCurve`` calls them on field elements; the family sweep calls
+them on plain ints reduced mod p, so its lattice check builds no field or
+curve object per specialization.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import json
 import math
@@ -150,6 +157,9 @@ class QuadFieldElem:
 
     def __neg__(self) -> "QuadFieldElem":
         return QuadFieldElem(self.d, -self.u, -self.v)
+
+    def __pos__(self) -> "QuadFieldElem":
+        return self
 
     def __pow__(self, exponent: int) -> "QuadFieldElem":
         if not isinstance(exponent, int):
@@ -293,6 +303,9 @@ class PrimeFieldElem:
     def __neg__(self) -> "PrimeFieldElem":
         return _elem(self.p, -self.value)
 
+    def __pos__(self) -> "PrimeFieldElem":
+        return self
+
     def __pow__(self, exponent: int) -> "PrimeFieldElem":
         if not isinstance(exponent, int):
             return NotImplemented
@@ -332,6 +345,31 @@ def _elem(p: int, value: int) -> PrimeFieldElem:
 FieldElem = Union[Fraction, int, QuadFieldElem, PrimeFieldElem]
 
 
+def _discriminant(A, B):
+    """16 * B^2 * (A^2 - 4B); zero exactly for singular parameters."""
+    return B * B * (A * A - 4 * B) * 16
+
+
+def _c4(A, B):
+    return (A * A - 3 * B) * 16
+
+
+def _twist(A, B, D):
+    """Quadratic twist by D != 0: (A, B) -> (D*A, D^2*B)."""
+    if D == 0:
+        raise ZeroDivisionError("twist by zero")
+    return D * A, D * D * B
+
+
+def _two_isogeny(A, B):
+    """Codomain of the 2-isogeny with kernel {O, (0,0)}:
+    (A, B) -> (-2A, A^2 - 4B).  Requires B != 0 so that (0,0) is a
+    point of order 2."""
+    if B == 0:
+        raise SingularCurveError("(0,0) is not a smooth point when B = 0")
+    return -2 * A, A * A - 4 * B
+
+
 class WeierstrassCurve:
     """The curve y^2 = x^3 + A*x^2 + B*x over whatever field A, B live in.
 
@@ -364,33 +402,27 @@ class WeierstrassCurve:
         return f"WeierstrassCurve(A={self.A!r}, B={self.B!r})"
 
     def discriminant(self) -> FieldElem:
-        """16 * B^2 * (A^2 - 4B); zero exactly for singular parameters."""
-        A, B = self.A, self.B
-        return B * B * (A * A - 4 * B) * 16
+        return _discriminant(self.A, self.B)
 
     def c4(self) -> FieldElem:
-        return (self.A * self.A - 3 * self.B) * 16
+        return _c4(self.A, self.B)
 
     def is_singular(self) -> bool:
         return self.discriminant() == 0
 
     def j_invariant(self) -> FieldElem:
-        return _j_invariant(self, self.discriminant())
+        """c4^3 / discriminant."""
+        delta = self.discriminant()
+        if delta == 0:
+            raise SingularCurveError("j-invariant of a singular curve")
+        c = self.c4()
+        return c * c * c / delta
 
     def twist(self, D: FieldElem) -> "WeierstrassCurve":
-        """Quadratic twist by D != 0: (A, B) -> (D*A, D^2*B)."""
-        if D == 0:
-            raise ZeroDivisionError("twist by zero")
-        return WeierstrassCurve(D * self.A, D * D * self.B)
+        return WeierstrassCurve(*_twist(self.A, self.B, D))
 
     def two_isogenous(self) -> "WeierstrassCurve":
-        """Codomain of the 2-isogeny with kernel {O, (0,0)}:
-        (A, B) -> (-2A, A^2 - 4B).  Requires B != 0 so that (0,0) is a
-        point of order 2."""
-        if self.B == 0:
-            raise SingularCurveError("(0,0) is not a smooth point when B = 0")
-        A, B = self.A, self.B
-        return WeierstrassCurve(-2 * A, A * A - 4 * B)
+        return WeierstrassCurve(*_two_isogeny(self.A, self.B))
 
 
 def _sqrt_mod_prime(n: int, p: int) -> "int | None":
@@ -426,42 +458,37 @@ def _sqrt_mod_prime(n: int, p: int) -> "int | None":
 
 _ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 
+# Compiled polynomials see only the values they are given: no builtins.
+_NO_BUILTINS = {"__builtins__": {}}
 
-def _compile_node(node: ast.expr, variables) -> Callable[[dict], object]:
-    """Check one polynomial syntax tree and turn it into an evaluator."""
+
+def _check_node(node: ast.expr, variables) -> None:
+    """Raise ValueError unless the syntax tree is an integer polynomial in
+    the given variables."""
     if isinstance(node, ast.Constant):
         if isinstance(node.value, int):
-            value = node.value
-            return lambda names: value
+            return
         raise ValueError("only integer constants are allowed")
     if isinstance(node, ast.Name):
         if node.id in variables:
-            name = node.id
-            return lambda names: names[name]
+            return
         raise ValueError(f"unknown variable {node.id!r}")
     if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.USub):
-            operand = _compile_node(node.operand, variables)
-            return lambda names: -operand(names)
-        if isinstance(node.op, ast.UAdd):
-            return _compile_node(node.operand, variables)
+        if isinstance(node.op, (ast.USub, ast.UAdd)):
+            _check_node(node.operand, variables)
+            return
         raise ValueError("unary operator not allowed")
     if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left = _compile_node(node.left, variables)
+        _check_node(node.left, variables)
         if isinstance(node.op, ast.Pow):
             # Exponents must be literal nonnegative integers.
             exp = node.right
             if not (isinstance(exp, ast.Constant) and isinstance(exp.value, int)
                     and exp.value >= 0):
                 raise ValueError("exponent must be a nonnegative integer literal")
-            e = exp.value
-            return lambda names: left(names) ** e
-        right = _compile_node(node.right, variables)
-        if isinstance(node.op, ast.Add):
-            return lambda names: left(names) + right(names)
-        if isinstance(node.op, ast.Sub):
-            return lambda names: left(names) - right(names)
-        return lambda names: left(names) * right(names)
+            return
+        _check_node(node.right, variables)
+        return
     raise ValueError("expression form not allowed")
 
 
@@ -470,13 +497,16 @@ def _compile_poly(text: str, variables) -> Callable[[dict], object]:
 
     Only integer literals, the given variables, +, -, * and ** with
     literal nonnegative integer exponents are accepted; anything else
-    raises ValueError here, before any evaluation.
+    raises ValueError here, before any evaluation.  The checked tree is
+    compiled to one code object, run with no builtins.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"not a polynomial: {text!r}") from exc
-    return _compile_node(tree.body, frozenset(variables))
+    _check_node(tree.body, frozenset(variables))
+    return functools.partial(eval, compile(tree, "<polynomial>", "eval"),
+                             _NO_BUILTINS)
 
 
 class FamilySpec:
@@ -553,8 +583,9 @@ def _odd_primes(count: int, start: int) -> list[int]:
 
 
 def _random_base_point(spec: FamilySpec, p: int, rng: random.Random) -> dict:
+    """A random F_p point of the row's base, as residues in [0, p)."""
     if spec.base == "line":
-        return {"t": PrimeFieldElem(p, rng.randrange(p))}
+        return {"t": rng.randrange(p)}
     while True:
         b = rng.randrange(p)
         a = _sqrt_mod_prime(-1 - b * b, p)
@@ -562,7 +593,7 @@ def _random_base_point(spec: FamilySpec, p: int, rng: random.Random) -> dict:
             continue
         if rng.random() < 0.5:
             a = (p - a) % p
-        return {"a": PrimeFieldElem(p, a), "b": PrimeFieldElem(p, b)}
+        return {"a": a, "b": b}
 
 
 # Primes for specialization start here: large enough that the singular
@@ -571,45 +602,55 @@ def _random_base_point(spec: FamilySpec, p: int, rng: random.Random) -> dict:
 _SPECIALIZATION_PRIME_START = 401
 
 
-def _j_invariant(E: WeierstrassCurve, delta: FieldElem) -> FieldElem:
-    """c4^3 / delta, given the curve's discriminant delta."""
+def _curve_residues(spec: FamilySpec, point: dict, p: int) -> tuple[int, int, int]:
+    """A, B and the discriminant mod p of the row at an integer point."""
+    A = spec._A(point) % p
+    B = spec._B(point) % p
+    return A, B, _discriminant(A, B) % p
+
+
+def _j_residue(A: int, B: int, delta: int, p: int) -> int:
+    """c4^3 / delta mod p, given the discriminant delta mod p."""
     if delta == 0:
         raise SingularCurveError("j-invariant of a singular curve")
-    c = E.c4()
-    return c * c * c / delta
+    c = _c4(A, B) % p
+    return c * c * c * pow(delta, -1, p) % p
 
 
-def _check_lattice_relations(E: WeierstrassCurve, delta: FieldElem, p: int,
-                             rng: random.Random) -> list[str]:
-    """All twist/isogeny identities that must hold at a nonsingular
-    specialization with discriminant delta.  Returns a list of failure
-    descriptions.  Each curve's discriminant is computed once."""
+def _mod(pair: tuple, p: int) -> tuple[int, int]:
+    return pair[0] % p, pair[1] % p
+
+
+def _lattice_failures(A: int, B: int, delta: int, p: int,
+                      rng: random.Random) -> list[str]:
+    """All twist/isogeny identities that must hold at the nonsingular
+    curve (A, B) over F_p with discriminant delta, all residues mod p.
+    Returns a list of failure descriptions."""
     bad: list[str] = []
-    j = _j_invariant(E, delta)
-    if E.twist(PrimeFieldElem(p, 1)) != E:
+    j = _j_residue(A, B, delta, p)
+    if _mod(_twist(A, B, 1), p) != (A, B):
         bad.append("twist by 1 is not the identity")
-    mm = E.twist(PrimeFieldElem(p, -1)).twist(PrimeFieldElem(p, -1))
-    if mm != E:
+    Am, Bm = _mod(_twist(A, B, -1), p)
+    if _mod(_twist(Am, Bm, -1), p) != (A, B):
         bad.append("twist by -1 is not an involution")
     twists = [-1, 2, -2] + [rng.randrange(1, p) for _ in range(3)]
     for D in twists:
-        DD = PrimeFieldElem(p, D)
-        if DD == 0:
+        if D % p == 0:
             continue
-        Et = E.twist(DD)
-        delta_t = Et.discriminant()
-        if _j_invariant(Et, delta_t) != j:
+        At, Bt = _mod(_twist(A, B, D), p)
+        delta_t = _discriminant(At, Bt) % p
+        if _j_residue(At, Bt, delta_t, p) != j:
             bad.append(f"j changed under twist by {D}")
-        if delta_t != DD ** 6 * delta:
+        if delta_t != pow(D, 6, p) * delta % p:
             bad.append(f"discriminant not scaled by D^6 under twist by {D}")
-    E2 = E.two_isogenous()
-    if E2.is_singular():
+    A2, B2 = _mod(_two_isogeny(A, B), p)
+    if _discriminant(A2, B2) % p == 0:
         bad.append("2-isogenous curve is singular")
     else:
-        E4 = E2.two_isogenous()
-        if E4 != WeierstrassCurve(4 * E.A, 16 * E.B):
+        A4, B4 = _mod(_two_isogeny(A2, B2), p)
+        if (A4, B4) != (4 * A % p, 16 * B % p):
             bad.append("double 2-isogeny is not (4A, 16B)")
-        if E4.j_invariant() != j:
+        if _j_residue(A4, B4, _discriminant(A4, B4) % p, p) != j:
             bad.append("j changed under double 2-isogeny")
     return bad
 
@@ -618,6 +659,10 @@ def family_identity_check(spec: FamilySpec, trials: int = 40,
                           primes: int = 25, seed: int = 0) -> dict:
     """Verify the twist/isogeny lattice for one family by specializing at
     random base points over many prime fields.
+
+    The sweep runs on plain residues: the row's polynomials are evaluated
+    at the integer coordinates of each point and reduced mod p, and the
+    identities go through the same curve formulas as ``WeierstrassCurve``.
 
     Raises FamilyIdentityError on any identity failure at a nonsingular
     point.  Singular specializations are skipped but counted; they must
@@ -631,19 +676,14 @@ def family_identity_check(spec: FamilySpec, trials: int = 40,
         rng = random.Random(seed * 1_000_003 + p)
         for _ in range(trials):
             point = _random_base_point(spec, p, rng)
-            E = spec.curve_at(point)
-            delta = E.discriminant()
+            A, B, delta = _curve_residues(spec, point, p)
             if delta == 0:
                 singular += 1
                 continue
             nonsingular += 1
-            bad = _check_lattice_relations(E, delta, p, rng)
+            bad = _lattice_failures(A, B, delta, p, rng)
             if bad:
-                failures.append({
-                    "prime": p,
-                    "point": {k: v.value for k, v in point.items()},
-                    "failures": bad,
-                })
+                failures.append({"prime": p, "point": point, "failures": bad})
     report = {
         "label": spec.label,
         "base": spec.base,
@@ -668,6 +708,11 @@ def _is_square(n: int) -> bool:
     return r * r == n
 
 
+# The largest n that quadfamily_check takes: it factors 2^n + 1 by trial
+# division, which stays under 0.1 s up to here and can take minutes above.
+QUADFAMILY_N_MAX = 40
+
+
 def quadfamily_check(n: int) -> dict:
     """Checks for the curve y^2 = x^3 + 2a*x^2 + (a^2+1)*x with
     a = sqrt(-(2^n + 1)).
@@ -680,6 +725,8 @@ def quadfamily_check(n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > QUADFAMILY_N_MAX:
+        raise ValueError(f"n above {QUADFAMILY_N_MAX} is out of scope")
     k2 = 2 ** n + 1
     a = quad_sqrt(-k2)
     assert isinstance(a, QuadFieldElem)

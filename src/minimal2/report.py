@@ -64,6 +64,9 @@ class RunConfig:
                      "round_trip_count", "n_max", "prime", "trials", "primes"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.n_max > ellcurve.QUADFAMILY_N_MAX:
+            raise ValueError(
+                f"n_max above {ellcurve.QUADFAMILY_N_MAX} is out of scope")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.genus_filter is not None and self.genus_filter < 0:

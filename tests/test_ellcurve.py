@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from minimal2 import ellcurve
 from minimal2.ellcurve import (
+    QUADFAMILY_N_MAX,
     FamilyIdentityError,
     FamilySpec,
     PrimeFieldElem,
@@ -19,6 +21,8 @@ from minimal2.ellcurve import (
     SingularCurveError,
     WeierstrassCurve,
     _compile_poly,
+    _curve_residues,
+    _j_residue,
     _random_base_point,
     _sqrt_mod_prime,
     family_identity_check,
@@ -282,7 +286,7 @@ class TestConicPoints:
     def draw(self, p, count, seed=0):
         rng = random.Random(seed)
         points = [_random_base_point(self.CONIC, p, rng) for _ in range(count)]
-        return [(pt["a"].value, pt["b"].value) for pt in points]
+        return [(pt["a"], pt["b"]) for pt in points]
 
     def test_points_satisfy_equation(self):
         # 401 = 1 mod 4 runs the Tonelli-Shanks loop, 419 = 3 mod 4 the shortcut
@@ -323,6 +327,10 @@ class TestEvalPoly:
         assert eval_poly("-t + 4", {"t": Fraction(1, 2)}) == Fraction(7, 2)
         x = QuadFieldElem(-1, 0, 1)
         assert eval_poly("a*a + 1", {"a": x}) == 0
+
+    def test_unary_plus_on_field_elements(self):
+        assert eval_poly("+b - 1", {"b": PrimeFieldElem(7, 3)}) == 2
+        assert eval_poly("+a*a", {"a": QuadFieldElem(2, 0, 1)}) == 2
 
     def test_rejects_unknown_names(self):
         with pytest.raises(ValueError):
@@ -415,6 +423,44 @@ class TestFamilyTable:
         assert rep["pass"] is False
 
 
+class TestResidueSweep:
+    """The family sweep works on plain residues mod p through the curve
+    formulas that WeierstrassCurve uses."""
+
+    @pytest.mark.parametrize("label", ["16.48.0.25", "32.96.0.1"])
+    def test_residues_match_field_elements(self, label):
+        spec = load_family_specs()[label]
+        compared = 0
+        for p in (401, 409, 419):
+            rng = random.Random(p)
+            for _ in range(10):
+                point = _random_base_point(spec, p, rng)
+                A, B, delta = _curve_residues(spec, point, p)
+                E = spec.curve_at({k: PrimeFieldElem(p, v)
+                                   for k, v in point.items()})
+                assert (E.A.value, E.B.value) == (A, B)
+                assert E.discriminant().value == delta
+                if delta:
+                    assert E.j_invariant().value == _j_residue(A, B, delta, p)
+                    compared += 1
+        assert compared > 20
+
+    def test_wrong_twist_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(ellcurve, "_twist",
+                            lambda A, B, D: (D * A, D * B))
+        with pytest.raises(FamilyIdentityError,
+                           match=r"discriminant not scaled by D\^6"):
+            family_identity_check(load_family_specs()["16.48.0.25"],
+                                  trials=4, primes=3, seed=1)
+
+    def test_wrong_two_isogeny_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(ellcurve, "_two_isogeny",
+                            lambda A, B: (-2 * A, A * A + 4 * B))
+        with pytest.raises(FamilyIdentityError, match="double 2-isogeny"):
+            family_identity_check(load_family_specs()["16.48.0.25"],
+                                  trials=4, primes=3, seed=1)
+
+
 class TestQuadFamily:
     def test_discriminant_is_exactly_minus_power_of_two(self):
         for n in range(1, 21):
@@ -466,3 +512,9 @@ class TestQuadFamily:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             quadfamily_check(0)
+
+    def test_rejects_n_above_the_bound(self):
+        assert QUADFAMILY_N_MAX == 40
+        assert quadfamily_check(QUADFAMILY_N_MAX)["n"] == 40
+        with pytest.raises(ValueError, match="n above 40 is out of scope"):
+            quadfamily_check(QUADFAMILY_N_MAX + 1)

@@ -36,6 +36,8 @@ class TestRunConfig:
             RunConfig(command="verify-all", profile="exhaustive")
         with pytest.raises(ValueError):
             RunConfig(command="quadfamily", n_max=0)
+        with pytest.raises(ValueError, match="n_max above 40 is out of scope"):
+            RunConfig(command="quadfamily", n_max=41)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -266,6 +268,10 @@ class TestCli:
     def test_bad_arguments_exit_2(self):
         assert cli.main(["census", "--level-bound", "12"]) == 2
         assert cli.main(["falsify", "--prime", "7"]) == 2
+
+    def test_quadfamily_n_max_above_the_bound_exits_2(self, capsys):
+        assert cli.main(["quadfamily", "--n-max", "41", "--quiet"]) == 2
+        assert capsys.readouterr().err == "error: n_max above 40 is out of scope\n"
 
     def test_negative_seed_exits_2(self, capsys):
         assert cli.main(["lie-check", "--seed", "-1", "--quiet"]) == 2
