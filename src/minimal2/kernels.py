@@ -3,10 +3,10 @@
 A matrix [[a, b], [c, d]] with entries reduced mod m (m <= 256) is stored as
 ``a | b<<8 | c<<16 | d<<24``, below 2^32.  This is the only matrix
 representation: a single matrix is a Python int, and element sets are sorted
-uint32 numpy arrays of packed values, which makes membership a binary search
-and lets the breadth-first closure run over flat arrays.  No other module
-names the dtype of a packed array.  Scalar ``mul``/``inv``/``det``/``neg``
-serve single matrices, and ``order_array`` is the one element-order routine.
+uint32 numpy arrays of packed values, which lets the breadth-first closure
+run over flat arrays.  No other module names the dtype of a packed array or
+of a key.  Scalar ``mul``/``inv``/``det``/``neg`` serve single matrices, and
+``order_array`` is the one element-order routine.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
 each generator at once, and conjugation maps a stacked layer of element
@@ -16,9 +16,17 @@ when m is a power of 2, with % otherwise.
 
 Set operations are sort-based: ``unique`` sorts and keeps each value that
 differs from the one before it (numpy 2's hashing ``np.unique`` is about ten
-times slower on a few thousand values), and membership is a binary search.
+times slower on a few thousand values).  Binary search (``index_of``,
+``contains``, ``in_sorted``) serves lookups of a scalar or of a batch: the
+closure frontiers and the coset candidates of ``coset_closure``, the orbit
+and class walks, the genus class counts and the greedy generator picks.
 ``np.searchsorted`` of a uint32 set and a Python int or an int64 array first
-copies the set to int64, so ``index_of`` casts the scalar.
+copies the set to int64, so ``index_of`` casts the scalar.  Where a whole
+array the size of the set is looked up in it, as in the Frattini layers and
+the Frattini sweep, sorting is cheaper than searching: ``keyed`` packs each
+value with a uint32 label into one key, value in the high half, so a sorted
+key array is sorted by value, and two labelled sets are equal exactly when
+their sorted keys are.  ``key_values`` and ``key_labels`` split keys back.
 """
 
 from __future__ import annotations
@@ -267,23 +275,37 @@ def in_sorted(xs: np.ndarray, sorted_set: np.ndarray) -> np.ndarray:
     return sorted_set[idx] == xs
 
 
+def keyed(values: np.ndarray, labels) -> np.ndarray:
+    """Keys value << 32 | label of packed values and uint32 labels (an
+    array or one int): sorted by value first, then by label."""
+    keys = values.astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= labels
+    return keys
+
+
+def key_values(keys: np.ndarray) -> np.ndarray:
+    """The packed values of keys."""
+    return (keys >> np.uint64(32)).astype(np.uint32)
+
+
+def key_labels(keys: np.ndarray) -> np.ndarray:
+    """The uint32 labels of keys."""
+    return keys.astype(np.uint32)
+
+
 # ---------------------------------------------------------------------------
 # breadth-first closure
 # ---------------------------------------------------------------------------
 
 
-def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
+def closure(gens, m: int, cap: int = ELEMENT_BUDGET) -> np.ndarray:
     """Sorted packed element array of the subgroup generated by gens mod m.
 
-    When seeds is given it must be a subset of the target group; the BFS
-    starts from seeds united with the identity.  Raises BudgetExceeded when
-    the closure would pass cap elements.
+    Raises BudgetExceeded when the closure would pass cap elements.
     """
     gens = sorted({int(g) for g in gens} - {IDENTITY})
-    known = as_packed([IDENTITY])
-    if seeds is not None:
-        known = unique(np.concatenate([known, as_packed(seeds)]))
-    frontier = known
+    known = frontier = as_packed([IDENTITY])
     g = _entry_columns(gens, 1)
     while gens:
         cand = unique(pack_array(*_mul_entries(unpack_array(frontier), g, m)).ravel())
@@ -296,6 +318,53 @@ def closure(gens, m: int, cap: int = ELEMENT_BUDGET, seeds=None) -> np.ndarray:
         known = np.sort(np.concatenate([known, fresh]), kind="stable")
         frontier = fresh
     return known
+
+
+def powers(g: int, m: int) -> np.ndarray:
+    """Sorted packed element array of the cyclic group <g> mod m; raises
+    ValueError when g is not invertible."""
+    inv(g, m)
+    out, x = [IDENTITY], g
+    while x != IDENTITY:
+        out.append(x)
+        x = mul(x, g, m)
+    return np.sort(as_packed(out))
+
+
+def coset_closure(subgroup: np.ndarray, gens, m: int,
+                  cap: int = ELEMENT_BUDGET) -> np.ndarray:
+    """Sorted packed element array of <gens> mod m, grown from the sorted
+    element array of a subgroup C of it one right coset C y at a time
+    (Dimino's algorithm).
+
+    A union of right cosets C r is closed under right multiplication by a
+    generator s exactly when every r s lies in it, since C r s = C r' when
+    r s lies in C r'.  So the cosets are found breadth-first from C: the
+    products of the newest representatives by every generator that lie in
+    no known coset give the next representatives, one per new coset, and
+    each new coset costs one product of C by its representative.  Raises
+    BudgetExceeded when the closure would pass cap elements.
+    """
+    gens = [int(s) for s in gens]
+    g = _entry_columns(gens, 1)
+    c = unpack_array(subgroup)
+    known = subgroup
+    cand = as_packed(gens)  # the products of the representative I
+    while True:
+        cand = cand[~in_sorted(cand, known)]
+        cosets, fresh = [known], []
+        while cand.size:
+            y = int(cand[0])
+            coset = np.sort(pack_array(*_mul_entries(c, unpack(y), m)))
+            cand = cand[~in_sorted(cand, coset)]
+            cosets.append(coset)
+            fresh.append(y)
+        if not fresh:
+            return known
+        if len(known) + len(fresh) * len(subgroup) > cap:
+            raise BudgetExceeded(f"closure exceeded budget of {cap} elements (mod {m})")
+        known = np.sort(np.concatenate(cosets))
+        cand = pack_array(*_mul_entries(unpack_array(as_packed(fresh)), g, m)).ravel()
 
 
 def _entry_columns(gens, ndim: int) -> list[np.ndarray]:

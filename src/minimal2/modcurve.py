@@ -117,9 +117,14 @@ def _psl_context(n: int) -> tuple[int, tuple[tuple[np.ndarray, int], ...]]:
 
 def genus(G: OpenSubgroup) -> GenusData:
     """GenusData of X_G; requires surjective determinant.  Models below
-    modulus 8 are lifted to 8 first, where the determinant test runs."""
-    if G.prime == 2 and G.modulus < 8:
-        G = G.lift(8)
+    modulus 8 are lifted to 8 first, where the determinant test runs.
+    Computed once per group object and kept on it."""
+    if G._genus is None:
+        G._genus = _genus(G.lift(8) if G.prime == 2 and G.modulus < 8 else G)
+    return G._genus
+
+
+def _genus(G: OpenSubgroup) -> GenusData:
     if not G.det_surjective_2adic():
         raise ValueError("genus is only defined here for surjective determinant")
     Gm = adjoin_minus_I(G)

@@ -2,25 +2,36 @@
 
 An OpenSubgroup stores generators mod p^k, as packed ints (see kernels), and
 stands for the full preimage of the generated group in GL_2(Z_p).  Element
-sets are frozen sorted arrays of packed matrices; membership is binary
-search.  Level, index, determinant surjectivity, Frattini quotient, index-2
-subgroups, nilpotency and a conjugacy canonical key are all computed from
-the element set.
+sets are frozen sorted arrays of packed matrices; membership of one
+element is binary search.  Level, index, determinant surjectivity,
+Frattini quotient, index-2 subgroups, nilpotency and a conjugacy canonical
+key are all computed from the element set.
 
 The Frattini machinery applies to 2-group images, the only case the search
 needs.  For a finite 2-group Phi(H) = <x^2 : x in H>, since every commutator
 [x, y] = x^-2 (x y^-1)^2 y^2 is a product of squares, so Phi(H) is the
-closure of the squares.  The quotient H/Phi(H) is then laid out coset by
-coset: the first element of H, in sorted packed order, outside the part
-labelled so far becomes the next basis vector, and right-multiplying the
-labelled part by it labels one new layer of cosets.  By the Burnside basis
-theorem the generators of H generate exactly when their coordinate vectors
-span F_2^rank, which is checked on every quotient.  A sweep, run by
-default whatever the group's size, re-checks all element squares, all
-generator edges and the index of Phi.  It checks no commutators: the edge
-check, coords(x g) = coords(x) + coords(g) for every x and generator g,
-already makes the coordinates a homomorphism onto the abelian F_2^rank, and
-a homomorphism onto an abelian group kills every commutator.
+closure of the squares.  It is grown as in Dimino's algorithm: the first
+missing square gives its powers, and each further missing square g extends
+the group C built so far one whole right coset C y at a time
+(``kernels.coset_closure``), never re-multiplying C by the old generators.
+The quotient H/Phi(H) is then laid out coset by coset: the first element
+of H, in sorted packed order, outside the part labelled so far becomes the
+next basis vector, and right-multiplying the labelled part by it labels one
+new layer of cosets.  By the Burnside basis theorem the generators of H
+generate exactly when their coordinate vectors span F_2^rank, which is
+checked on every quotient.  A sweep, run by default whatever the group's
+size, re-checks all generator edges and the index of Phi.  It checks no
+squares or commutators: the edge check, coords(x g) = coords(x) +
+coords(g) for every x and generator g, already makes the coordinates a
+homomorphism onto the elementary abelian F_2^rank, which kills every
+square and every commutator.
+
+Both the layers and the sweep look up a whole array the size of H in H, so
+they merge sorted keys (``kernels.keyed``: element in the high half,
+coordinates in the low half) instead of binary-searching: the labelled
+part is one sorted key array that each layer joins by one sort, and the
+sweep sorts the keys of the edges x -> x g once per generator and compares
+them with the keys of the quotient.
 """
 
 from __future__ import annotations
@@ -105,27 +116,28 @@ def _positions(elements: np.ndarray, xs: np.ndarray, missing: str) -> np.ndarray
 def _frattini_layers(elements: np.ndarray, modulus: int):
     """Basis and coordinates of H/Phi(H) for the 2-group with these elements.
 
-    Phi is grown from the squares one missing square at a time.  Basis
-    element k is the first element outside <Phi, earlier basis elements>,
-    and right multiplication by it labels the next coset layer.  Returns
-    (packed basis elements, uint32 coordinate array).
+    Phi is grown from the squares one missing square at a time.  The
+    labelled part is one sorted key array of (element, coordinates),
+    starting from Phi with coordinates 0.  Basis element k is the first
+    element of H where the labelled elements stop matching H, and right
+    multiplication by it labels the next coset layer, merged in by one
+    sort.  Returns (packed basis elements, uint32 coordinate array).
     """
     squares = kernels.unique(kernels.square_array(elements, modulus))
     _, phi = _greedy_generators(squares, modulus)
-    labelled = np.zeros(len(elements), dtype=bool)
-    labelled[_positions(elements, phi, "Phi(H) is not inside the element set")] = True
-    coords = np.zeros(len(elements), dtype=np.uint32)
+    labelled = kernels.keyed(phi, 0)
     basis: list[int] = []
-    while not labelled.all():
-        b = int(elements[np.argmin(labelled)])
-        src = np.flatnonzero(labelled)
-        dst = _positions(elements,
-                         kernels.mul_array_scalar(elements[src], b, modulus),
-                         "element set is not closed under multiplication")
-        coords[dst] = coords[src] | np.uint32(1 << len(basis))
-        labelled[dst] = True
+    while len(labelled) < len(elements):
+        values = kernels.key_values(labelled)
+        same = values == elements[:len(values)]
+        b = int(elements[len(values) if same.all() else np.argmin(same)])
+        layer = kernels.keyed(kernels.mul_array_scalar(values, b, modulus),
+                              kernels.key_labels(labelled) | np.uint32(1 << len(basis)))
+        labelled = np.sort(np.concatenate([labelled, layer]))
         basis.append(b)
-    return basis, coords
+    if not np.array_equal(kernels.key_values(labelled), elements):
+        raise AssertionError("element set is not closed under multiplication")
+    return basis, kernels.key_labels(labelled)
 
 
 def _level_and_image(elements: np.ndarray, modulus: int, prime: int,
@@ -203,6 +215,7 @@ class OpenSubgroup:
         self._fq: FrattiniQuotient | None = None
         self._fq_verified = False
         self._orbit: frozenset[bytes] | None = None
+        self._genus = None  # modcurve.GenusData, kept by modcurve.genus
 
     # -- element set ---------------------------------------------------------
 
@@ -333,15 +346,20 @@ class OpenSubgroup:
         homomorphism onto the elementary abelian F_2^rank, which sends
         every commutator and every square to 0."""
         elements, coords, m = self.elements, fq._coords, self.modulus
-
-        def coords_of(xs, what):
-            return coords[_positions(elements, xs, f"{what} outside the element set")]
-
-        for gp in self.generators:
-            gc = coords_of(kernels.as_packed([gp]), "a generator")[0]
-            xg = kernels.mul_array_scalar(elements, gp, m)
-            if not (coords_of(xg, "a product x g") == (coords ^ gc)).all():
+        gen_coords = coords[_positions(elements, kernels.as_packed(self.generators),
+                                       "a generator outside the element set")]
+        for gp, gc in zip(self.generators, gen_coords):
+            # sorted, the keys of the edges x -> x g split into the element
+            # set and its coordinates exactly when x -> x g maps the set
+            # onto itself and coords(x g) = coords(x) ^ coords(g) on every
+            # edge
+            xg = kernels.keyed(kernels.mul_array_scalar(elements, gp, m), coords ^ gc)
+            xg.sort()
+            if not np.array_equal(kernels.key_values(xg), elements):
+                raise AssertionError("a product x g outside the element set")
+            if not np.array_equal(kernels.key_labels(xg), coords):
                 raise AssertionError("coordinates are not multiplicative")
+            del xg
         n_phi = int((coords == 0).sum())
         if n_phi << fq.rank != len(elements):
             raise AssertionError("Phi index does not match the rank")
@@ -510,15 +528,18 @@ def _primitive_root(p: int, modulus: int) -> int:
 
 def _greedy_generators(targets: np.ndarray, m: int) -> tuple[list[int], np.ndarray]:
     """Generators picked greedily, the first missing target each time, until
-    their closure contains every target; returns (generators, closure)."""
+    the group they generate contains every target; returns (generators,
+    group).  As in Dimino's algorithm, the first pick gives its powers and
+    each later pick grows the group by right cosets of the last one."""
     gens: list[int] = []
-    current = kernels.closure([], m)
+    current = kernels.as_packed([kernels.IDENTITY])
     while True:
         missing = targets[~kernels.in_sorted(targets, current)]
         if not missing.size:
             return gens, current
         gens.append(int(missing[0]))
-        current = kernels.closure(gens, m, seeds=current)
+        current = (kernels.coset_closure(current, gens, m) if len(gens) > 1
+                   else kernels.powers(gens[0], m))
 
 
 def sylow_subgroup(elements: np.ndarray, m: int, q: int) -> np.ndarray:

@@ -313,13 +313,35 @@ class TestUint32Sets:
     CONJ = [py_pack((3, 1, 0, 131)), py_pack((1, 0, 2, 255))]
 
     def test_closure_with_seeds(self):
+        # the coset growth from the subgroup <GENS[:2]> to <GENS>
         seeds = py_closure(self.GENS[:2], 256)
-        got = kernels.closure(self.GENS, 256, seeds=kernels.as_packed(seeds))
+        got = kernels.coset_closure(kernels.as_packed(seeds), self.GENS, 256)
         want = py_closure(self.GENS, 256)
         assert got.dtype == np.uint32
         assert got.tolist() == want
         assert max(want) >= 1 << 31
         assert got.tolist() == kernels.closure(self.GENS, 256).tolist()
+
+    def test_coset_closure_budget(self):
+        seeds = kernels.as_packed(py_closure(self.GENS[:2], 256))
+        with pytest.raises(kernels.BudgetExceeded):
+            kernels.coset_closure(seeds, self.GENS, 256, cap=255)
+        assert len(kernels.coset_closure(seeds, self.GENS, 256, cap=256)) == 256
+
+    def test_powers(self):
+        for g in self.GENS + self.CONJ:
+            assert kernels.powers(g, 256).tolist() == py_closure([g], 256)
+
+    def test_keys_split_back_and_sort_by_value(self):
+        values = kernels.closure(self.GENS, 256)
+        labels = np.arange(len(values), dtype=np.uint32)[::-1] << np.uint32(24)
+        keys = kernels.keyed(values, labels)
+        assert np.array_equal(kernels.key_values(keys), values)
+        assert np.array_equal(kernels.key_labels(keys), labels)
+        assert np.array_equal(np.sort(keys), keys)  # sorted by value first
+        assert int(kernels.key_labels(keys).max()) >= 1 << 31
+        assert np.array_equal(kernels.key_labels(kernels.keyed(values, 0)),
+                              np.zeros(len(values), dtype=np.uint32))
 
     def test_lift_and_reduce(self):
         base = kernels.closure([py_pack((1, 2, 0, 127)), py_pack((3, 0, 0, 1))], 128)

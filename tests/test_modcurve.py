@@ -243,6 +243,32 @@ class TestClassTables:
             genus(borel(8))
 
 
+class TestGenusKept:
+    def test_second_label_counts_no_class(self, monkeypatch):
+        calls = []
+        real = kernels.in_sorted
+
+        def spy(xs, sorted_set):
+            calls.append(len(xs))
+            return real(xs, sorted_set)
+
+        monkeypatch.setattr(kernels, "in_sorted", spy)
+        H = borel_level4_at8()
+        first = label(H)
+        assert calls  # the first call counts the class tables
+        calls.clear()
+        assert label(H) == first
+        assert genus(H) is genus(H)
+        assert calls == []
+        assert label(borel_level4_at8()) == first
+
+    def test_a_lifted_model_keeps_the_genus_on_the_caller(self):
+        H = borel8().reduce(4)
+        data = genus(H)
+        assert H._genus is data
+        assert data == genus(borel8())
+
+
 class TestGenusInvariance:
     def test_conjugation_invariance(self):
         H = borel8()

@@ -1,5 +1,6 @@
 """Open subgroup models: levels, determinant images, Frattini data."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -339,6 +340,74 @@ class TestFrattini:
             H._verify_frattini(bad)
 
 
+def _sylow_element(rng, m, det8=None):
+    """A random element of the mod-m pro-2 Sylow model (a, d odd, c even),
+    with the given determinant mod 8 when det8 is set."""
+    while True:
+        a, d = (2 * int(v) + 1 for v in rng.integers(0, m // 2, 2))
+        b, c = int(rng.integers(0, m)), 2 * int(rng.integers(0, m // 2))
+        if det8 is None or (a * d - b * c) % 8 == det8:
+            return a, b, c, d
+
+
+def _bfs_greedy_generators(targets, m):
+    """The greedy generator pick of subgroups._greedy_generators, with every
+    group rebuilt by the breadth-first kernels.closure."""
+    gens, current = [], kernels.closure([], m)
+    while True:
+        missing = targets[~np.isin(targets, current)]
+        if not missing.size:
+            return gens, current
+        gens.append(int(missing[0]))
+        current = kernels.closure(gens, m)
+
+
+class TestFrattiniPath:
+    # sha256 of (rank, basis, coordinate bytes) over the quotients of the 40
+    # pairs <A, B> mod 32 (det A = 3, det B = 5 mod 8) drawn as in the
+    # benchmark's certify workload, then of the Sylow model mod 8, 16 and 32
+    QUOTIENTS_SHA256 = "abd0e08cebe11ad38d443ee086b67f3fccb26577dd4f57bb485edd6905900ee8"
+
+    def test_quotients_are_pinned(self):
+        rng = np.random.default_rng(20240217)
+        groups = [closure([_sylow_element(rng, 32, 3), _sylow_element(rng, 32, 5)], 32)
+                  for _ in range(40)]
+        groups += [sylow8(), sylow8().lift(16), sylow8().lift(32)]
+        h = hashlib.sha256()
+        for H in groups:
+            fq = H.frattini_quotient()
+            h.update(f"{fq.rank}|{','.join(map(str, fq.basis))}|".encode())
+            h.update(fq._coords.astype("<u4").tobytes())
+        assert h.hexdigest() == self.QUOTIENTS_SHA256
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_coset_growth_matches_the_bfs(self, m):
+        rng = np.random.default_rng(m)
+        for k in (1, 2, 3, 4):
+            xs = kernels.as_packed([kernels.pack(*_sylow_element(rng, m))
+                                    for _ in range(k)])
+            targets = kernels.unique(kernels.square_array(xs, m))
+            gens, group = subgroups._greedy_generators(targets, m)
+            want_gens, want = _bfs_greedy_generators(targets, m)
+            assert gens == want_gens
+            assert np.array_equal(group, want)
+
+    def test_sweep_rejects_swapped_coordinates(self):
+        # swapping the coordinates of two elements keeps every coordinate
+        # and every element, so only the edges can tell
+        H = rank3_group()
+        fq = H.frattini_quotient(verify=False)
+        gens = np.isin(H.elements, kernels.as_packed(H.generators))
+        i = int(np.flatnonzero(~gens & (fq._coords == 1))[0])
+        j = int(np.flatnonzero(~gens & (fq._coords == 2))[0])
+        coords = fq._coords.copy()
+        coords[[i, j]] = coords[[j, i]]
+        bad = FrattiniQuotient(rank=fq.rank, basis=fq.basis, _modulus=8,
+                               _elements=fq._elements, _coords=coords)
+        with pytest.raises(AssertionError, match="not multiplicative"):
+            H._verify_frattini(bad)
+
+
 def _fewest_generators(elements, m):
     """Fewest elements that generate the group, by exhaustive search.
 
@@ -362,7 +431,7 @@ def _fewest_generators(elements, m):
                 coset = kernels.mul_array_scalar(K, x, m)
                 todo[np.searchsorted(elements, coset)] = False
                 grown.setdefault(
-                    kernels.closure(squares + gens + [x], m, seeds=K).tobytes(),
+                    kernels.closure(squares + gens + [x], m).tobytes(),
                     gens + [x])
         layer = grown
     gens = layer[elements.tobytes()]
