@@ -571,13 +571,11 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
     dets = kernels.det_array(table.elements, p)
     full = frozenset(range(1, p))
     det_order_target = p * (p - 1)
-    witnesses = []
-    det_full = 0
+    found = []  # (class index, class order, witness)
     g0 = _primitive_root(p, p)
     for ci, (sub, _gens) in enumerate(classes):
         if kernels.det_image(table.elements[sub], p, p) != full:
             continue
-        det_full += 1
         cand = sub[dets[sub] == g0 % p]
         if not len(cand):
             raise AssertionError("det-full subgroup missing a primitive-root det")
@@ -596,26 +594,29 @@ def falsify_odd_prime(p: int, progress: Optional[Callable[[str], None]] = None
                 f"falsifier failed for p={p}, class {ci}: no lift of the "
                 "primitive-det element has full det order mod p^2; this "
                 "would contradict the odd-prime non-minimality argument")
-        cyc_order = int(kernels.order_array(kernels.as_packed([witness]), p * p)[0])
-        preimage_order = len(sub) * p ** 4
+        found.append((ci, len(sub), witness))
+        if progress and len(found) % 10 == 0:
+            progress(f"falsifier p={p}: {len(found)} det-full classes witnessed")
+    if not found:
+        raise AssertionError("no det-full subgroup classes found at all")
+    cyc_orders = kernels.order_array(kernels.as_packed([w for _, _, w in found]), p * p)
+    witnesses = []
+    for (ci, base_order, witness), cyc_order in zip(found, cyc_orders.tolist()):
+        preimage_order = base_order * p ** 4
         if cyc_order >= preimage_order:
             raise AssertionError("cyclic witness is not proper")
         witnesses.append(OddPrimeWitness(
             base_class_index=ci,
-            base_order=len(sub),
+            base_order=base_order,
             generator=kernels.unpack(witness),
             det_order=det_order_target,
             cyclic_order=cyc_order,
             preimage_order=preimage_order,
         ))
-        if progress and det_full % 10 == 0:
-            progress(f"falsifier p={p}: {det_full} det-full classes witnessed")
-    if not witnesses:
-        raise AssertionError("no det-full subgroup classes found at all")
     return FalsifierReport(
         prime=p,
         subgroup_classes=len(classes),
-        det_full_classes=det_full,
+        det_full_classes=len(found),
         witnesses=tuple(witnesses),
     )
 

@@ -13,11 +13,16 @@ prime-power components), and running them on class representatives reaches
 every class: a chain for T conjugates, step by step, onto a chain through the
 stored representatives.
 
-Each extension is computed once per double coset S x S, not once per
-element x: for s, t in S, <S, s x t> = <S, x> as a set, so every other
-candidate of the double coset would only rebuild a set already seen.
-Skipping them leaves the output (classes, their order, their generator
-lists) unchanged.
+Each extension is computed once per candidate x left uncovered, not once
+per element: for s, t in S and y a generator of <x>, <S, s y t> = <S, x> as
+a set, so once <S, x> is built, the double cosets S y S of all generators
+y = x^k, gcd(k, ord x) = 1, are covered, and every candidate in them would
+only rebuild a set already seen.  Skipping them leaves the output (classes,
+their order, their generator lists) unchanged.  The extension is grown from
+S by right cosets (Dimino's algorithm, as in ``kernels.coset_closure``), one
+table gather per round of new cosets.  See Holt, Eick and O'Brien, Handbook
+of Computational Group Theory (2005), section 4.5, for this cyclic extension
+method.
 """
 
 from __future__ import annotations
@@ -57,7 +62,8 @@ class FiniteGroupTable:
         self.inverse = inv
         self.generator_indices = list(generator_indices or [])
         self._orders: np.ndarray | None = None
-        self._conj_perms: list[np.ndarray] | None = None
+        self._conj_perms: np.ndarray | None = None
+        self._cyclic_generators: list[np.ndarray] | None = None
 
     @classmethod
     def from_generators(cls, gens_packed, modulus: int) -> "FiniteGroupTable":
@@ -79,52 +85,82 @@ class FiniteGroupTable:
 
     # -- subgroups -------------------------------------------------------------
 
-    def closure_indices(self, gen_idx) -> np.ndarray:
-        """Sorted indices of the subgroup generated by the given indices."""
-        gen_idx = sorted(set(int(g) for g in gen_idx) | {self.identity})
-        known = np.zeros(self.n, dtype=bool)
-        known[gen_idx] = True
-        frontier = np.array(gen_idx, dtype=np.int64)
-        while len(frontier):
-            prods = self.table[np.ix_(frontier, gen_idx)].ravel()
-            prods = kernels.unique(prods)
-            fresh = prods[~known[prods]]
-            known[fresh] = True
-            frontier = fresh
-        return np.nonzero(known)[0].astype(np.int32)
+    def cyclic_generators(self) -> list[np.ndarray]:
+        """For each element x, the indices of the generators x^k of <x>,
+        gcd(k, ord x) = 1, with k ascending from 1."""
+        if self._cyclic_generators is None:
+            orders = self.orders()[:, None]
+            powers = np.empty((self.n, int(orders.max())), dtype=np.int32)
+            powers[:, 0] = np.arange(self.n)
+            for k in range(1, powers.shape[1]):
+                powers[:, k] = self.table[powers[:, k - 1], powers[:, 0]]
+            ks = np.arange(1, powers.shape[1] + 1)
+            keep = (ks <= orders) & (np.gcd(ks, orders) == 1)
+            self._cyclic_generators = [row[m] for row, m in zip(powers, keep)]
+        return self._cyclic_generators
 
-    def conj_permutations(self) -> list[np.ndarray]:
-        """Conjugation permutations x -> g x g^-1 for the table's generators."""
+    def closure_indices(self, gen_idx, sub=None) -> np.ndarray:
+        """Sorted indices of the subgroup generated by S and gen_idx.
+
+        S is given by sub, its sorted index array (the trivial group by
+        default); when it is given, gen_idx must hold generators of S.  The
+        group is grown from S one right coset S r at a time, as in
+        ``kernels.coset_closure``: a union of right cosets of S is closed
+        under right multiplication by each generator s exactly when every
+        r s lies in it.  Each round gathers S times all the unknown
+        candidates r s in one table lookup; the cosets are disjoint, so a
+        coset is named by its minimum and one candidate is kept per minimum.
+        """
+        gens = np.asarray(gen_idx, dtype=np.int32)
+        sub = np.array([self.identity]) if sub is None else np.asarray(sub)
+        known = np.zeros(self.n, dtype=bool)
+        known[sub] = True
+        cand = gens
+        while True:
+            cand = cand[~known[cand]]
+            if not cand.size:
+                return np.flatnonzero(known).astype(np.int32)
+            cosets = self.table[sub[:, None], cand]
+            if cand.size > 1:
+                lows = cosets.min(axis=0).tolist()
+                pick = list({low: i for i, low in enumerate(lows)}.values())
+                cosets, cand = cosets[:, pick], cand[pick]
+            known[cosets] = True
+            cand = self.table[cand[:, None], gens].ravel()
+
+    def conj_permutations(self) -> np.ndarray:
+        """Conjugation permutations x -> g x g^-1, one row per table
+        generator g."""
         if self._conj_perms is None:
             if not self.generator_indices:
                 raise ValueError("table was built without generator indices")
-            perms = []
-            for g in self.generator_indices:
-                gi = int(self.inverse[g])
-                perms.append(self.table[self.table[g, :], gi])
-            self._conj_perms = perms
+            g = np.array(self.generator_indices)
+            self._conj_perms = self.table[self.table[g], self.inverse[g][:, None]]
         return self._conj_perms
 
     def canonical_subgroup_key(self, idx: np.ndarray) -> bytes:
-        """Minimal sorted index tuple over the full conjugation orbit."""
+        """Minimal sorted index tuple over the full conjugation orbit.
+
+        The orbit is walked one layer at a time, as in
+        ``subgroups.OpenSubgroup._conjugation_orbit``: the members new in a
+        layer are stacked into a (k, s) array and mapped by every
+        conjugation permutation at once.
+        """
         perms = self.conj_permutations()
-        start = np.sort(np.asarray(idx, dtype=np.int32))
-        best = start.tobytes()
-        seen = {best}
-        frontier = [start]
-        while frontier:
-            s = frontier.pop()
-            for perm in perms:
-                t = np.sort(perm[s]).astype(np.int32)
-                kb = t.tobytes()
-                if kb not in seen:
-                    if len(seen) >= ORBIT_BUDGET:
+        layer = np.sort(np.asarray(idx, dtype=np.int32))[None, :]
+        s = layer.shape[1]
+        orbit = {layer[0].tobytes()}
+        while len(layer):
+            fresh = []
+            for row in np.sort(perms[:, layer], axis=-1).reshape(-1, s):
+                kb = row.tobytes()
+                if kb not in orbit:
+                    if len(orbit) >= ORBIT_BUDGET:
                         raise kernels.BudgetExceeded("subgroup orbit too large")
-                    seen.add(kb)
-                    frontier.append(t)
-                    if kb < best:
-                        best = kb
-        return best
+                    orbit.add(kb)
+                    fresh.append(row)
+            layer = np.array(fresh, dtype=np.int32).reshape(-1, s)
+        return min(orbit)
 
     def subgroup_classes(self, base_idx=None):
         """Conjugacy-class representatives of all subgroups containing
@@ -132,17 +168,19 @@ class FiniteGroupTable:
 
         Returns a list of (sorted index array, generator index list) pairs.
 
-        One closure per double coset S x S of each stored S: once <S, x> is
-        built, the whole double coset is marked covered and its other
-        elements are skipped.  Each of them generates the same set <S, x>
-        with S, so it would have hit ``seen_sets`` and been dropped; the
-        output is the same as with one closure per candidate.
+        One closure per candidate x left uncovered in each stored S: the
+        extension <S, x> is grown from S by right cosets, and then the
+        double coset S y S of every generator y of <x> is marked covered.
+        Each covered element z generates the same set <S, z> = <S, x> with
+        S, so it would have hit ``seen_sets`` and been dropped; the output
+        is the same as with one closure per candidate.
         """
         base_gens = [int(v) for v in (base_idx or [])]
         base = self.closure_indices(base_gens)
-        candidates = self.prime_power_order_indices()
+        candidates = self.prime_power_order_indices().tolist()
+        cyclic = self.cyclic_generators()
         out = [(base, base_gens)]
-        seen_sets = {np.sort(base).astype(np.int32).tobytes()}
+        seen_sets = {base.tobytes()}
         seen_keys = {self.canonical_subgroup_key(base)}
         head = 0
         while head < len(out):
@@ -153,9 +191,11 @@ class FiniteGroupTable:
             for x in candidates:
                 if covered[x]:
                     continue
-                ext = self.closure_indices(gens + [int(x)])
-                covered[self.table[np.ix_(self.table[sub, x], sub)]] = True
-                kb = ext.astype(np.int32).tobytes()
+                ext = self.closure_indices(gens + [x], sub)
+                for y in cyclic[x]:
+                    if not covered[y]:
+                        covered[self.table[self.table[sub, y][:, None], sub]] = True
+                kb = ext.tobytes()
                 if kb in seen_sets:
                     continue
                 seen_sets.add(kb)
@@ -163,5 +203,5 @@ class FiniteGroupTable:
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                out.append((ext, gens + [int(x)]))
+                out.append((ext, gens + [x]))
         return out

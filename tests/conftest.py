@@ -1,8 +1,9 @@
 """Shared fixtures and the acceptance-suite summary printer.
 
 Expensive computations (the genus-0 census, the full lie sweep, the odd
-prime falsifiers, the GL_2(Z/8) maximal-subgroup sweep) run once per
-session and are shared between their unit tests and the acceptance tests.
+prime falsifiers, the GL_2(Z/8) maximal-subgroup sweep, the GL_2(Z/8)
+subgroup lattice) run once per session and are shared between their unit
+tests and the acceptance tests.
 """
 
 import os
@@ -47,6 +48,20 @@ def non_two_group_sweep():
     from minimal2 import minimality
 
     return minimality.verify_non_two_group_witness()
+
+
+@pytest.fixture(scope="session")
+def gl2_z8_table():
+    from minimal2.smallgroups import FiniteGroupTable
+    from minimal2.subgroups import ambient_generators
+
+    return FiniteGroupTable.from_generators(ambient_generators(2, 8), 8)
+
+
+@pytest.fixture(scope="session")
+def gl2_z8_lattice(gl2_z8_table):
+    """Every subgroup class of GL_2(Z/8): 2265 classes, about 6 s."""
+    return gl2_z8_table.subgroup_classes()
 
 
 @pytest.fixture(scope="session")

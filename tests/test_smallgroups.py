@@ -1,5 +1,8 @@
 """Cayley-table engine for small matrix groups."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,15 @@ def one_closure_per_candidate(table, base_idx=None):
             seen_keys.add(key)
             out.append((ext, gens + [int(x)]))
     return out
+
+
+def lattice_digest(classes) -> str:
+    """sha256 over each class's order, generator list and index bytes."""
+    h = hashlib.sha256()
+    for idx, gens in classes:
+        h.update(f"{len(idx)} {gens}|".encode())
+        h.update(np.asarray(idx, dtype="<i4").tobytes())
+    return h.hexdigest()
 
 
 class TestTableBasics:
@@ -109,6 +121,39 @@ class TestSubgroupMachinery:
                 want.add((a * d - b * c) % m)
             assert kernels.det_image(elems, 8, m) == want
 
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_growth_from_a_subgroup_matches_the_plain_closure(self, p):
+        table = FiniteGroupTable.from_generators(ambient_generators(p, p), p)
+        rng = np.random.default_rng(p)
+        for sub, gens in table.subgroup_classes():
+            for x in rng.choice(table.n, size=4, replace=False).tolist():
+                packed = kernels.closure(table.elements[gens + [x]], p)
+                want = np.searchsorted(table.elements, packed)
+                for got in (table.closure_indices(gens + [x]),
+                            table.closure_indices(gens + [x], sub)):
+                    assert got.dtype == np.int32
+                    assert np.array_equal(got, want)
+
+    def test_cyclic_generators(self, gl2_f3):
+        t = gl2_f3
+        orders = t.orders()
+        for x, ys in enumerate(t.cyclic_generators()):
+            o = int(orders[x])
+            assert len(ys) == sum(math.gcd(k, o) == 1 for k in range(1, o + 1))
+            assert ys[0] == x
+            cyc = t.closure_indices([x])
+            assert len(cyc) == o
+            for y in ys.tolist():
+                assert np.array_equal(t.closure_indices([y]), cyc)
+
+    def test_canonical_key_is_the_least_conjugate(self, gl2_f3):
+        t = gl2_f3
+        for sub, _gens in t.subgroup_classes():
+            # x -> g x g^-1 for every element g, not only the generators
+            conj = t.table[t.table[:, sub], t.inverse[:, None]]
+            want = min(np.sort(row).astype(np.int32).tobytes() for row in conj)
+            assert t.canonical_subgroup_key(sub) == want
+
     def test_canonical_key_invariant_under_conjugation(self, gl2_f3):
         t = gl2_f3
         some = t.closure_indices([t.generator_indices[0]])
@@ -126,30 +171,38 @@ class TestSubgroupMachinery:
             assert np.array_equal(gl2_f3.closure_indices(gens), idx)
             assert 48 % len(idx) == 0
 
-    @pytest.mark.parametrize("p", [3, 5])
-    def test_subgroup_classes_match_one_closure_per_candidate(self, p):
+    @pytest.mark.parametrize("p, base_order, count",
+                             [(3, None, 16), (5, None, 48), (5, 5, 18)],
+                             ids=["3", "5", "5-over-order5"])
+    def test_subgroup_classes_match_one_closure_per_candidate(self, p, base_order,
+                                                              count):
         table = FiniteGroupTable.from_generators(ambient_generators(p, p), p)
-        got = table.subgroup_classes()
-        want = one_closure_per_candidate(table)
-        assert len(got) == len(want) == {3: 16, 5: 48}[p]
+        base_idx = None
+        if base_order is not None:
+            base_idx = [int(np.flatnonzero(table.orders() == base_order)[0])]
+        got = table.subgroup_classes(base_idx)
+        want = one_closure_per_candidate(table, base_idx)
+        assert len(got) == len(want) == count
         for (idx, gens), (want_idx, want_gens) in zip(got, want):
             assert idx.dtype == want_idx.dtype
             assert np.array_equal(idx, want_idx)
             assert gens == want_gens
 
     def test_one_closure_per_double_coset_in_the_p5_falsifier(self, monkeypatch):
-        # one closure per candidate element made 11718 calls
+        # one closure per candidate element made 11718 calls, one per double
+        # coset S x S made 1233; covering S y S for every generator y of <x>
+        # makes 726
         calls = []
         real = FiniteGroupTable.closure_indices
 
-        def spy(self, gen_idx):
+        def spy(self, gen_idx, sub=None):
             calls.append(len(gen_idx))
-            return real(self, gen_idx)
+            return real(self, gen_idx, sub)
 
         monkeypatch.setattr(FiniteGroupTable, "closure_indices", spy)
         rep = minimality.falsify_odd_prime(5)
         assert rep.subgroup_classes == 48
-        assert len(calls) == 1233
+        assert len(calls) == 726
 
     def test_sylow_subgroup(self, gl2_f3):
         for q, size in ((2, 16), (3, 3), (5, 1)):
@@ -161,3 +214,22 @@ class TestSubgroupMachinery:
     def test_budget_cap(self):
         with pytest.raises(kernels.BudgetExceeded):
             FiniteGroupTable.from_generators(ambient_generators(2, 16), 16)
+
+
+class TestLatticeAtLevel8:
+    # lattice_digest of the classes, recorded when each extension was still
+    # a plain closure and one closure ran per double coset S x S
+    LATTICE_SHA256 = "88f7183dab1698c64a1fe4f040e244f6fb532228c93bd22f42b67b25b0762668"
+    ORDER3_SHA256 = "ae03bc7127d8d17bde290ebcb1b3ae1dd6098d42f084590072c700a940308a07"
+
+    def test_lattice_is_pinned(self, gl2_z8_lattice):
+        assert len(gl2_z8_lattice) == 2265
+        assert all(idx.dtype == np.int32 for idx, _ in gl2_z8_lattice)
+        assert lattice_digest(gl2_z8_lattice) == self.LATTICE_SHA256
+
+    def test_classes_over_an_order3_element_are_pinned(self, gl2_z8_table):
+        # the base of minimality.verify_non_two_group_witness
+        y0 = int(np.flatnonzero(gl2_z8_table.orders() == 3)[0])
+        classes = gl2_z8_table.subgroup_classes(base_idx=[y0])
+        assert len(classes) == 105
+        assert lattice_digest(classes) == self.ORDER3_SHA256
