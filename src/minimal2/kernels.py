@@ -6,7 +6,9 @@ representation: a single matrix is a Python int, and element sets are sorted
 uint32 numpy arrays of packed values, which lets the breadth-first closure
 run over flat arrays.  No other module names the dtype of a packed array or
 of a key.  Scalar ``mul``/``inv``/``det``/``neg`` serve single matrices, and
-``order_array`` is the one element-order routine.
+``order_array`` is the one element-order routine.  There is no bulk
+inverse: ``conjugate_set``, the one conjugation routine, inverts each
+generator once with the scalar ``inv``.
 
 Everything here is plain numpy: the closure multiplies a whole frontier by
 each generator at once, and conjugation maps a stacked layer of element
@@ -193,39 +195,6 @@ def order_array(xs: np.ndarray, m: int) -> np.ndarray:
         k += 1
         if k > 8 * m * m:
             raise AssertionError("order computation runaway")
-
-
-def inv_array(xs: np.ndarray, m: int) -> np.ndarray:
-    """Packed inverses of an array of invertible packed matrices."""
-    a, b, c, d = unpack_array(xs)
-    di = unit_inverse_table(m)[_mod(a * d - b * c, m)]
-    if np.any(di < 0):
-        raise ValueError(f"array contains a matrix not invertible mod {m}")
-    return pack_array(_mod(d * di, m), _mod(-b * di, m), _mod(-c * di, m),
-                      _mod(a * di, m))
-
-
-def conj_array(xs: np.ndarray, g: int, m: int) -> np.ndarray:
-    """g @ x @ g^-1 for every packed x; result is not sorted."""
-    x_gi = _mul_entries(unpack_array(xs), unpack(inv(g, m)), m)
-    return pack_array(*_mul_entries(unpack(g), x_gi, m))
-
-
-_INV_TABLES: dict[int, np.ndarray] = {}
-
-
-def unit_inverse_table(m: int) -> np.ndarray:
-    """table[u] = u^-1 mod m for units, -1 for non-units."""
-    tab = _INV_TABLES.get(m)
-    if tab is None:
-        tab = np.full(m, -1, dtype=np.int32)
-        for u in range(m):
-            try:
-                tab[u] = pow(u, -1, m)
-            except ValueError:
-                pass
-        _INV_TABLES[m] = tab
-    return tab
 
 
 def lift_array(xs: np.ndarray, m: int, m2: int) -> np.ndarray:

@@ -348,7 +348,11 @@ def census(level_bound: int = 64, index_bound: int = 96,
     least idx * 2^(r-2); a node with idx << (r - 2) above the bound is not
     expanded.  Rank and index are conjugacy invariants and the bound only
     grows downward, so the cut subtrees hold no entry, and every entry keeps
-    the representative the uncut walk pops first.
+    the representative the uncut walk pops first.  The rank is read as
+    log_2 |HM : Phi(HM)| before the quotient is laid out, so a node the
+    bound drops never builds its basis and coordinates; a child at its
+    parent's certifying modulus reads its Phi off the parent's (see
+    ``OpenSubgroup.frattini_subgroup``).
 
     Each candidate child is reduced once: its level search starts at the
     parent's level and keeps the image mod the level, which both prunes by
@@ -379,13 +383,14 @@ def census(level_bound: int = 64, index_bound: int = 96,
 
             lvl, idx = HL.modulus, H.index_in_ambient()
             HM = _model_at(H, certifying_modulus(lvl))
-            fq = HM.frattini_quotient(verify=False)
-            if fq.rank == 2:
-                entries.append(_make_entry(HM, HL, idx, fq))
-                continue
-            if fq.rank < 2:
+            rank = (len(HM.elements) // len(HM.frattini_subgroup())).bit_length() - 1
+            if rank < 2:
                 raise AssertionError("det-full 2-group with rank < 2")
-            if idx << (fq.rank - 2) > index_bound:
+            if rank > 2 and idx << (rank - 2) > index_bound:
+                continue
+            fq = HM.frattini_quotient(verify=False)
+            if rank == 2:
+                entries.append(_make_entry(HM, HL, idx, fq))
                 continue
             images = _hyperplane_det_images(fq, HM.modulus)
             for mu in range(1, 1 << fq.rank):
@@ -401,7 +406,8 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if child_digest in seen:
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
-                child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems)
+                child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems,
+                                     _parent=HM)
                 child._level = CL.modulus
                 stack.append((child_digest, CL, child))
     except kernels.BudgetExceeded as exc:

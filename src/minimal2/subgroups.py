@@ -10,10 +10,23 @@ key are all computed from the element set.
 The Frattini machinery applies to 2-group images, the only case the search
 needs.  For a finite 2-group Phi(H) = <x^2 : x in H>, since every commutator
 [x, y] = x^-2 (x y^-1)^2 y^2 is a product of squares, so Phi(H) is the
-closure of the squares.  It is grown as in Dimino's algorithm: the first
-missing square gives its powers, and each further missing square g extends
-the group C built so far one whole right coset C y at a time
-(``kernels.coset_closure``), never re-multiplying C by the old generators.
+closure of the squares.  ``OpenSubgroup.frattini_subgroup`` grows it as in
+Dimino's algorithm: the first missing square gives its powers, and each
+further missing square g extends the group C built so far one whole right
+coset C y at a time (``kernels.coset_closure``), never re-multiplying C by
+the old generators.
+
+A subgroup K with Phi(H) <= K <= H, such as a hyperplane subgroup, needs no
+growth.  Its squares are squares of H, and the squares of Phi(H) are
+squares of K, so Phi(Phi(H)) <= Phi(K) <= Phi(H).  Hence Phi(K) is the
+preimage of the span of the images of the squares of K in the small
+elementary abelian group V = Phi(H)/Phi(Phi(H)).  A group built with a
+``_parent`` link (the census builds its hyperplane children so) keeps it
+until it knows its Phi; the parent lays out V once, when a child first
+asks, and the child masks Phi(H) by the F_2 span of its squares'
+coordinates.  ``hyperplane_subgroup`` returns unlinked groups, which grow
+their Phi from the squares.
+
 The quotient H/Phi(H) is then laid out coset by coset: the first element
 of H, in sorted packed order, outside the part labelled so far becomes the
 next basis vector, and right-multiplying the labelled part by it labels one
@@ -113,18 +126,16 @@ def _positions(elements: np.ndarray, xs: np.ndarray, missing: str) -> np.ndarray
     return pos
 
 
-def _frattini_layers(elements: np.ndarray, modulus: int):
-    """Basis and coordinates of H/Phi(H) for the 2-group with these elements.
+def _frattini_layers(elements: np.ndarray, phi: np.ndarray, modulus: int):
+    """Basis and coordinates of H/Phi(H) for the 2-group with these elements,
+    given the sorted element array of Phi(H).
 
-    Phi is grown from the squares one missing square at a time.  The
-    labelled part is one sorted key array of (element, coordinates),
+    The labelled part is one sorted key array of (element, coordinates),
     starting from Phi with coordinates 0.  Basis element k is the first
     element of H where the labelled elements stop matching H, and right
     multiplication by it labels the next coset layer, merged in by one
     sort.  Returns (packed basis elements, uint32 coordinate array).
     """
-    squares = kernels.unique(kernels.square_array(elements, modulus))
-    _, phi = _greedy_generators(squares, modulus)
     labelled = kernels.keyed(phi, 0)
     basis: list[int] = []
     while len(labelled) < len(elements):
@@ -189,7 +200,8 @@ class OpenSubgroup:
     and ``generators`` holds the packed results.
     """
 
-    def __init__(self, prime: int, modulus: int, generators, _elements=None):
+    def __init__(self, prime: int, modulus: int, generators, _elements=None,
+                 _parent: "OpenSubgroup | None" = None):
         p, _ = _prime_power(modulus)
         if p != prime:
             raise ValueError(f"modulus {modulus} is not a power of {prime}")
@@ -211,6 +223,11 @@ class OpenSubgroup:
         self.modulus = modulus
         self.generators: tuple[int, ...] = tuple(gens)
         self._elements = _elements
+        # a group H with Phi(H) <= self <= H, kept until Phi(self) is known
+        self._parent = _parent
+        self._phi: np.ndarray | None = None
+        # coordinates of Phi in Phi/Phi(Phi), laid out when a child first asks
+        self._phi_coords: np.ndarray | None = None
         self._level: int | None = None
         self._fq: FrattiniQuotient | None = None
         self._fq_verified = False
@@ -310,16 +327,50 @@ class OpenSubgroup:
 
     # -- Frattini quotient and maximal subgroups ---------------------------------
 
+    def frattini_subgroup(self) -> np.ndarray:
+        """Phi(H) = <x^2 : x in H> as a sorted element array; input must be
+        a 2-group.
+
+        A group built with a parent link reads it off the parent (see the
+        module docstring) and drops the link; any other group grows it
+        from its squares."""
+        if self._phi is None:
+            if not self.is_two_group():
+                raise ValueError("Frattini subgroup implemented for 2-groups only")
+            squares = kernels.square_array(self.elements, self.modulus)
+            if self._parent is None:
+                _, self._phi = _greedy_generators(kernels.unique(squares), self.modulus)
+            else:
+                self._phi = self._parent._phi_below(squares)
+                self._parent = None
+        return self._phi
+
+    def _phi_below(self, squares: np.ndarray) -> np.ndarray:
+        """Phi(K) for a subgroup K with Phi(H) <= K <= H, from the squares
+        of K: the elements of Phi(H) whose coordinates in
+        V = Phi(H)/Phi(Phi(H)) lie in the F_2 span of the squares'."""
+        phi = self.frattini_subgroup()
+        if self._phi_coords is None:
+            _, phi_phi = _greedy_generators(
+                kernels.unique(kernels.square_array(phi, self.modulus)), self.modulus)
+            _, self._phi_coords = _frattini_layers(phi, phi_phi, self.modulus)
+        found = self._phi_coords[_positions(phi, squares, "a square outside Phi(H)")]
+        span = {0}
+        for v in np.flatnonzero(np.bincount(found)).tolist():
+            if v not in span:
+                span |= {s ^ v for s in span}
+        return phi[kernels.in_sorted(self._phi_coords,
+                                     np.sort(kernels.as_packed(list(span))))]
+
     def frattini_quotient(self, verify: bool = True) -> FrattiniQuotient:
         """Quotient by Phi(H) = <x^2 : x in H>; input must be a 2-group.
 
         With verify (the default) the exhaustive sweep runs once per group,
         whatever its size."""
         if self._fq is None:
-            if not self.is_two_group():
-                raise ValueError("Frattini quotient implemented for 2-groups only")
             elements = self.elements
-            basis_packed, coords = _frattini_layers(elements, self.modulus)
+            basis_packed, coords = _frattini_layers(elements, self.frattini_subgroup(),
+                                                    self.modulus)
             rank = len(basis_packed)
             gens = kernels.as_packed(self.generators)
             missing = "generators do not generate the element set"

@@ -401,6 +401,50 @@ def test_census_entry_bytes(bounds):
     assert hashlib.sha256(blob).hexdigest() == CENSUS_JSON_SHA256[bounds]
 
 
+def test_census_lays_out_one_quotient_per_expanded_node_or_entry(monkeypatch):
+    """census(16, 24) reads each node's rank off |H : Phi(H)| and calls
+    frattini_quotient only for a node it expands or records, not for the
+    nodes the rank bound drops.  The is_minimal rechecks of the entries
+    build fresh groups and are not counted."""
+    calls, expanded, in_recheck = [], [], []
+    frattini_quotient = OpenSubgroup.frattini_quotient
+    hyperplane_det_images = minimality._hyperplane_det_images
+    recheck = minimality.is_minimal
+
+    def count_quotients(self, verify=True):
+        if not in_recheck:
+            calls.append(self)
+        return frattini_quotient(self, verify)
+
+    def count_expanded(fq, modulus):
+        if not in_recheck:
+            expanded.append(fq)
+        return hyperplane_det_images(fq, modulus)
+
+    def rechecked(H):
+        in_recheck.append(H)
+        try:
+            return recheck(H)
+        finally:
+            in_recheck.pop()
+
+    kept = []
+    conjugacy_digests = OpenSubgroup.conjugacy_digests
+
+    def count_kept(self):
+        kept.append(None)
+        return conjugacy_digests(self)
+
+    monkeypatch.setattr(OpenSubgroup, "frattini_quotient", count_quotients)
+    monkeypatch.setattr(minimality, "_hyperplane_det_images", count_expanded)
+    monkeypatch.setattr(minimality, "is_minimal", rechecked)
+    monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", count_kept)
+    entries = minimality.census(16, 24)
+    assert len(kept) == 63
+    assert len({id(H) for H in calls}) == len(calls)  # once per group
+    assert len(calls) == len(expanded) + len(entries) == 23 + 4
+
+
 class TestCensusChildLevels:
     def test_child_levels_and_digests_match_the_pop_time_path(
             self, traced_census_16_48):

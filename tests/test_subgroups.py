@@ -18,6 +18,7 @@ from minimal2.subgroups import (
     schreier_generators,
     sylow_subgroup,
 )
+from test_kernels import conj_array
 
 D31 = (3, 0, 0, 1)
 D51 = (5, 0, 0, 1)
@@ -408,6 +409,79 @@ class TestFrattiniPath:
             H._verify_frattini(bad)
 
 
+def _grown_phi(H):
+    """Phi of a fresh, unlinked object with H's elements: the greedy
+    closure of its squares."""
+    fresh = OpenSubgroup(H.prime, H.modulus, H.generators, _elements=H.elements.copy())
+    squares = kernels.unique(kernels.square_array(fresh.elements, fresh.modulus))
+    return subgroups._greedy_generators(squares, fresh.modulus)[1]
+
+
+class TestInheritedPhi:
+    """Phi(K) read off the parent's Phi(H)/Phi(Phi(H)) equals Phi(K) grown
+    from the squares of K."""
+
+    def test_every_census_node_with_an_inherited_phi(self, monkeypatch):
+        from minimal2 import minimality
+
+        inherited, grown, in_recheck = [], [], []
+        frattini_subgroup = OpenSubgroup.frattini_subgroup
+        is_minimal = minimality.is_minimal
+
+        def spy(self):
+            first = self._phi is None and not in_recheck
+            linked = self._parent is not None
+            phi = frattini_subgroup(self)
+            if first:
+                (inherited if linked else grown).append((self, phi))
+                assert self._parent is None  # the link is dropped
+            return phi
+
+        def recheck(H):
+            in_recheck.append(H)
+            try:
+                return is_minimal(H)
+            finally:
+                in_recheck.pop()
+
+        monkeypatch.setattr(OpenSubgroup, "frattini_subgroup", spy)
+        monkeypatch.setattr(minimality, "is_minimal", recheck)
+        assert len(census(16, 48)) == 12
+        # 310 popped nodes: the root and the 68 children lifted to a doubled
+        # certifying modulus grow Phi, the other 241 inherit it
+        assert (len(inherited), len(grown)) == (241, 69)
+        for K, phi in inherited:
+            assert np.array_equal(phi, _grown_phi(K))
+
+    @pytest.mark.parametrize("make", [
+        lambda: sylow8().lift(16),
+        *(lambda seed=seed: _seeded_det_full_group(seed) for seed in (1, 2, 3)),
+    ], ids=["sylow-16", "seed1-32", "seed2-32", "seed3-32"])
+    def test_every_hyperplane_subgroup(self, make):
+        H = make()
+        fq = H.frattini_quotient()
+        assert fq.rank >= 3
+        for mu in range(1, 1 << fq.rank):
+            unlinked = H.hyperplane_subgroup(mu)
+            assert unlinked._parent is None
+            K = OpenSubgroup(H.prime, H.modulus, unlinked.generators,
+                             _elements=unlinked.elements, _parent=H)
+            phi = K.frattini_subgroup()
+            assert K._parent is None
+            assert np.array_equal(phi, _grown_phi(K))
+            K.frattini_quotient()  # the sweep passes on the inherited Phi
+
+
+def _seeded_det_full_group(seed):
+    """<A, B, C, D> mod 32 in the Sylow with det A = 3 and det B = 5 mod 8:
+    a det-full 2-group."""
+    rng = np.random.default_rng(seed)
+    H = closure([_sylow_element(rng, 32, 3), _sylow_element(rng, 32, 5),
+                 _sylow_element(rng, 32), _sylow_element(rng, 32)], 32)
+    assert H.is_two_group() and H.det_surjective_2adic()
+    return H
+
+
 def _fewest_generators(elements, m):
     """Fewest elements that generate the group, by exhaustive search.
 
@@ -585,7 +659,7 @@ def _reference_orbit(H):
     while stack:
         xs = stack.pop()
         for g in amb:
-            conj = np.sort(kernels.conj_array(xs, g, H.modulus))
+            conj = np.sort(conj_array(xs, g, H.modulus))
             kb = conj.astype(">u4").tobytes()
             if kb not in orbit:
                 orbit.add(kb)
