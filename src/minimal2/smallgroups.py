@@ -4,25 +4,41 @@ Where whole-subgroup-lattice questions are asked (the odd-prime falsifier,
 the non-2-group witness sweep) the groups have a few hundred to a few
 thousand elements, and an n x n index table beats packed-set closures: every
 subgroup is a sorted array of element indices and products are table
-gathers.
+gathers.  The table is multiplied out TABLE_BLOCK rows at a time.
 
-Subgroup enumeration walks single-element extensions S -> <S, x> with x of
-prime-power order, deduplicating by a conjugacy canonical key.  Extensions by
-prime-power elements reach every subgroup (each element is a product of its
-prime-power components), and running them on class representatives reaches
-every class: a chain for T conjugates, step by step, onto a chain through the
-stored representatives.
+Subgroup classes are enumerated by normal extensions of prime index (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory (2005), section
+4.5).  From each stored representative S the walk takes the normaliser
+N_G(S), with one table gather over the generators of S, and keeps each x
+in N_G(S) outside S with x^p in S for a prime p.  Since x normalises S and
+x^p lies in S, U = S u Sx u ... u Sx^(p-1) is a group in which S is normal
+of index p, built with p - 1 gathers and no closure.  Every y in U outside
+S gives the same U with the same p (y^q in S for a second prime q would
+put y in S), so all of U is marked covered.  A new set is kept when
+neither the set nor its conjugacy key has been seen.
 
-Each extension is computed once per candidate x left uncovered, not once
-per element: for s, t in S and y a generator of <x>, <S, s y t> = <S, x> as
-a set, so once <S, x> is built, the double cosets S y S of all generators
-y = x^k, gcd(k, ord x) = 1, are covered, and every candidate in them would
-only rebuild a set already seen.  Skipping them leaves the output (classes,
-their order, their generator lists) unchanged.  The extension is grown from
-S by right cosets (Dimino's algorithm, as in ``kernels.coset_closure``), one
-table gather per round of new cosets.  See Holt, Eick and O'Brien, Handbook
-of Computational Group Theory (2005), section 4.5, for this cyclic extension
-method.
+Completeness.  A subgroup U that is not perfect has U' < U, so the abelian
+group U/U' has a subgroup of prime index, and U has a normal subgroup S of
+prime index p.  By induction on |U|, some conjugate gSg^-1 is a stored
+representative, and gUg^-1 is one of its extensions: if an x in gUg^-1
+outside gSg^-1 was covered, it was covered by an extension of the same
+index p over the same representative, which is gUg^-1.  So the walk reaches
+every class once it is seeded with every perfect subgroup up to conjugacy.
+A perfect subgroup lies in every term of the derived series of G, hence in
+its last term P.  A perfect group has no proper subgroup of index below 5
+(the coset action would map it onto a transitive subgroup of S_4, which is
+solvable), and every group of order below 60 is solvable; so when
+|P| < 300 the only perfect subgroups are 1 and P, and the walk is seeded
+with both.  GL_2(F_3) and GL_2(Z/8) are solvable (P = 1); for GL_2(F_5),
+P = SL_2(F_5), of order 120.  The derived series takes a few closures:
+each term is the normal closure of the commutators of the generators of
+the term before.
+
+The output does not depend on the order of the walk.  Each class is given
+by its orbit-minimal representative (its conjugacy key, read back as
+indices), the classes are sorted by (order, key), and each generator list
+is greedy: the least element of the class outside the group generated so
+far, one closure per generator.
 """
 
 from __future__ import annotations
@@ -34,6 +50,7 @@ from .modmat import _prime_factors
 from .subgroups import ORBIT_BUDGET
 
 TABLE_BUDGET = 8192  # elements in the largest table
+TABLE_BLOCK = 32  # rows multiplied out at once while building a table
 
 
 class FiniteGroupTable:
@@ -47,13 +64,13 @@ class FiniteGroupTable:
         self.modulus = modulus
         self.n = n
         table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            row = kernels.mul_array_scalar(elements, int(elements[i]), modulus,
-                                           right=False)
-            pos = np.searchsorted(elements, row)
-            if pos.max(initial=0) >= n or not np.array_equal(elements[pos], row):
+        for lo in range(0, n, TABLE_BLOCK):
+            prods = kernels.mul_arrays(elements[lo:lo + TABLE_BLOCK, None],
+                                       elements[None, :], modulus)
+            pos = np.searchsorted(elements, prods)
+            if pos.max(initial=0) >= n or not np.array_equal(elements[pos], prods):
                 raise ValueError("element set is not closed under multiplication")
-            table[i] = pos
+            table[lo:lo + TABLE_BLOCK] = pos
         self.table = table
         self.identity = kernels.index_of(elements, kernels.IDENTITY)
         inv = np.empty(n, dtype=np.int32)
@@ -63,7 +80,6 @@ class FiniteGroupTable:
         self.generator_indices = list(generator_indices or [])
         self._orders: np.ndarray | None = None
         self._conj_perms: np.ndarray | None = None
-        self._cyclic_generators: list[np.ndarray] | None = None
 
     @classmethod
     def from_generators(cls, gens_packed, modulus: int) -> "FiniteGroupTable":
@@ -78,26 +94,7 @@ class FiniteGroupTable:
             self._orders = kernels.order_array(self.elements, self.modulus)
         return self._orders
 
-    def prime_power_order_indices(self) -> np.ndarray:
-        """Indices of elements of prime-power order (identity excluded)."""
-        return np.flatnonzero([len(_prime_factors(int(o))) == 1
-                               for o in self.orders()])
-
     # -- subgroups -------------------------------------------------------------
-
-    def cyclic_generators(self) -> list[np.ndarray]:
-        """For each element x, the indices of the generators x^k of <x>,
-        gcd(k, ord x) = 1, with k ascending from 1."""
-        if self._cyclic_generators is None:
-            orders = self.orders()[:, None]
-            powers = np.empty((self.n, int(orders.max())), dtype=np.int32)
-            powers[:, 0] = np.arange(self.n)
-            for k in range(1, powers.shape[1]):
-                powers[:, k] = self.table[powers[:, k - 1], powers[:, 0]]
-            ks = np.arange(1, powers.shape[1] + 1)
-            keep = (ks <= orders) & (np.gcd(ks, orders) == 1)
-            self._cyclic_generators = [row[m] for row, m in zip(powers, keep)]
-        return self._cyclic_generators
 
     def closure_indices(self, gen_idx, sub=None) -> np.ndarray:
         """Sorted indices of the subgroup generated by S and gen_idx.
@@ -127,6 +124,49 @@ class FiniteGroupTable:
                 cosets, cand = cosets[:, pick], cand[pick]
             known[cosets] = True
             cand = self.table[cand[:, None], gens].ravel()
+
+    def _generate(self, candidates, sub=None, gens=()):
+        """(group, generators) grown from sub, whose generators are gens, by
+        each candidate in turn that the group does not yet contain."""
+        cand = np.asarray(candidates, dtype=np.int32)
+        gens = list(gens)
+        if sub is None:
+            sub = np.array([self.identity], dtype=np.int32)
+        known = np.zeros(self.n, dtype=bool)
+        known[sub] = True
+        while True:
+            left = cand[~known[cand]]
+            if not left.size:
+                return sub, gens
+            gens.append(int(left[0]))
+            sub = self.closure_indices(gens, sub)
+            known[sub] = True
+
+    def derived_series(self) -> list[tuple[np.ndarray, list[int]]]:
+        """G = G_0 > G_1 > ... down to the first perfect term, each as
+        (sorted index array, generator list).  G_(k+1) is the normal closure
+        in G_k of the commutators of the generators of G_k: conjugates of
+        its generators by those of G_k are added until none is new."""
+        if not self.generator_indices:
+            raise ValueError("table was built without generator indices")
+        t, inv = self.table, self.inverse
+        series = [(np.arange(self.n, dtype=np.int32), list(self.generator_indices))]
+        while len(series[-1][0]) > 1:
+            sub, gens = series[-1]
+            g = np.asarray(gens, dtype=np.int32)
+            ab = t[g[:, None], g]
+            der, dgens = self._generate(t[inv[ab.T], ab].ravel())  # (ba)^-1 ab
+            while True:
+                d = np.asarray(dgens, dtype=np.int32)
+                conj = t[t[g[:, None], d], inv[g][:, None]].ravel()
+                grown, dgens = self._generate(conj, der, dgens)
+                if len(grown) == len(der):
+                    break
+                der = grown
+            if len(der) == len(sub):
+                break
+            series.append((der, dgens))
+        return series
 
     def conj_permutations(self) -> np.ndarray:
         """Conjugation permutations x -> g x g^-1, one row per table
@@ -162,46 +202,60 @@ class FiniteGroupTable:
             layer = np.array(fresh, dtype=np.int32).reshape(-1, s)
         return min(orbit)
 
-    def subgroup_classes(self, base_idx=None):
-        """Conjugacy-class representatives of all subgroups containing
-        <base_idx> (all subgroups when base_idx is None).
+    def subgroup_classes(self) -> list[tuple[np.ndarray, list[int]]]:
+        """Conjugacy-class representatives of all subgroups, as (sorted
+        index array, generator index list) pairs sorted by (order, key).
 
-        Returns a list of (sorted index array, generator index list) pairs.
-
-        One closure per candidate x left uncovered in each stored S: the
-        extension <S, x> is grown from S by right cosets, and then the
-        double coset S y S of every generator y of <x> is marked covered.
-        Each covered element z generates the same set <S, z> = <S, x> with
-        S, so it would have hit ``seen_sets`` and been dropped; the output
-        is the same as with one closure per candidate.
+        The walk by normal extensions of prime index and why it is complete
+        are in the module docstring.  Each representative is the least
+        member of its conjugation orbit, and its generators are greedy.
         """
-        base_gens = [int(v) for v in (base_idx or [])]
-        base = self.closure_indices(base_gens)
-        candidates = self.prime_power_order_indices().tolist()
-        cyclic = self.cyclic_generators()
-        out = [(base, base_gens)]
-        seen_sets = {base.tobytes()}
-        seen_keys = {self.canonical_subgroup_key(base)}
-        head = 0
-        while head < len(out):
-            sub, gens = out[head]
-            head += 1
-            covered = np.zeros(self.n, dtype=bool)
-            covered[sub] = True
-            for x in candidates:
-                if covered[x]:
-                    continue
-                ext = self.closure_indices(gens + [x], sub)
-                for y in cyclic[x]:
-                    if not covered[y]:
-                        covered[self.table[self.table[sub, y][:, None], sub]] = True
-                kb = ext.tobytes()
-                if kb in seen_sets:
-                    continue
-                seen_sets.add(kb)
-                key = self.canonical_subgroup_key(ext)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
-                out.append((ext, gens + [x]))
+        perfect, perfect_gens = self.derived_series()[-1]
+        if len(perfect) >= 300:
+            raise ValueError(f"the last derived subgroup has order {len(perfect)}: "
+                             "a perfect subgroup of order 60 or more could be missed")
+        t, inv = self.table, self.inverse
+        every = np.arange(self.n, dtype=np.int32)
+        powers = {}  # p -> the map x -> x^p, for each prime p dividing |G|
+        for p in _prime_factors(self.n):
+            power = every
+            for _ in range(p - 1):
+                power = t[power, every]
+            powers[p] = power
+        walk = [(np.array([self.identity], dtype=np.int32), [])]
+        if len(perfect) > 1:
+            walk.append((perfect, perfect_gens))
+        seen_sets = {sub.tobytes() for sub, _ in walk}
+        keys = [self.canonical_subgroup_key(sub) for sub, _ in walk]
+        seen_keys = set(keys)
+        for sub, gens in walk:  # grows while it is walked
+            inside = np.zeros(self.n, dtype=bool)
+            inside[sub] = True
+            covered = inside.copy()
+            g = np.asarray(gens, dtype=np.int32)
+            normalises = inside[t[t[:, g], inv[:, None]]].all(axis=1)
+            for p, power in powers.items():
+                for x in np.flatnonzero(normalises & inside[power]).tolist():
+                    if covered[x]:
+                        continue
+                    cosets, y = [sub], x
+                    for _ in range(p - 1):
+                        cosets.append(t[sub, y])
+                        y = int(t[y, x])
+                    ext = np.sort(np.concatenate(cosets))
+                    covered[ext] = True
+                    kb = ext.tobytes()
+                    if kb in seen_sets:
+                        continue
+                    seen_sets.add(kb)
+                    key = self.canonical_subgroup_key(ext)
+                    if key in seen_keys:
+                        continue
+                    seen_keys.add(key)
+                    keys.append(key)
+                    walk.append((ext, gens + [x]))
+        out = []
+        for key in sorted(keys, key=lambda k: (len(k), k)):
+            rep = np.frombuffer(key, dtype=np.int32).copy()
+            out.append((rep, self._generate(rep)[1]))
         return out

@@ -46,8 +46,10 @@ GOLDEN = {
         "2731b05fe69a8672c8537cc476996e3c690b239fa66f668949bbc717ccbe407d",
 }
 
-FALSIFY_3 = "6c7747efbb66258e5ba8905db43bf304e700feecf5aedb5071f27e8f10df9355"
-FALSIFY_5 = "90003e8a2c760ad9cc7e3390b1d7babaec951743ee995bfb073d522e5201cb4c"
+# re-recorded once the subgroup classes became orbit-minimal representatives
+# sorted by (order, key): a witness names its class index and an element
+FALSIFY_3 = "c57f89803d458c588177908b65e18a396bcfd6966faff496020b56ee187c9993"
+FALSIFY_5 = "6922dab00a457a3c91a79a7f6755cbf4c312e0b30307a17297f92af05e5e5da5"
 CENSUS_16_48_JSON = \
     "5e1c02252dfdf96e982489b022ea66cefa9dd51ebebb84fba93118c50141154d"
 CENSUS_16_48_CSV = \

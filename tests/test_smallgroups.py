@@ -1,13 +1,13 @@
 """Cayley-table engine for small matrix groups."""
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
 
-from minimal2 import kernels, minimality
+from minimal2 import kernels
 from minimal2.minimality import SYLOW_PRO2_GENERATORS
+from minimal2.modmat import _prime_factors
 from minimal2.smallgroups import FiniteGroupTable
 from minimal2.subgroups import ambient_generators, sylow_subgroup
 
@@ -17,12 +17,19 @@ def gl2_f3():
     return FiniteGroupTable.from_generators(ambient_generators(3, 3), 3)
 
 
+def prime_power_order_indices(table) -> np.ndarray:
+    """Indices of elements of prime-power order (identity excluded)."""
+    return np.flatnonzero([len(_prime_factors(int(o))) == 1 for o in table.orders()])
+
+
 def one_closure_per_candidate(table, base_idx=None):
-    """Subgroup classes by one closure <S, x> for every candidate x outside
-    each stored S: the enumeration before double cosets were skipped."""
+    """Subgroup classes containing <base_idx> (all classes by default), by
+    one closure <S, x> for every prime-power-order x outside each stored S.
+    Extensions by prime-power elements reach every subgroup, since each
+    element is a product of powers of itself of prime-power order."""
     base_gens = [int(v) for v in (base_idx or [])]
     base = table.closure_indices(base_gens)
-    candidates = table.prime_power_order_indices()
+    candidates = prime_power_order_indices(table)
     out = [(base, base_gens)]
     seen_sets = {base.astype(np.int32).tobytes()}
     seen_keys = {table.canonical_subgroup_key(base)}
@@ -45,6 +52,13 @@ def one_closure_per_candidate(table, base_idx=None):
             seen_keys.add(key)
             out.append((ext, gens + [int(x)]))
     return out
+
+
+def commutator_subgroup(table, sub) -> np.ndarray:
+    """<[a, b] : a, b in sub>, from every pair of elements."""
+    sub = np.asarray(sub)
+    ab = table.table[sub[:, None], sub]
+    return table.closure_indices(np.unique(table.table[table.inverse[ab.T], ab]))
 
 
 def lattice_digest(classes) -> str:
@@ -78,7 +92,8 @@ class TestTableBasics:
         assert all(48 % int(o) == 0 for o in orders)
 
     def test_prime_power_order_indices(self, gl2_f3):
-        idx = gl2_f3.prime_power_order_indices()
+        # the candidates of the one_closure_per_candidate reference
+        idx = prime_power_order_indices(gl2_f3)
         orders = gl2_f3.orders()[idx]
         for o in orders:
             o = int(o)
@@ -134,18 +149,6 @@ class TestSubgroupMachinery:
                     assert got.dtype == np.int32
                     assert np.array_equal(got, want)
 
-    def test_cyclic_generators(self, gl2_f3):
-        t = gl2_f3
-        orders = t.orders()
-        for x, ys in enumerate(t.cyclic_generators()):
-            o = int(orders[x])
-            assert len(ys) == sum(math.gcd(k, o) == 1 for k in range(1, o + 1))
-            assert ys[0] == x
-            cyc = t.closure_indices([x])
-            assert len(cyc) == o
-            for y in ys.tolist():
-                assert np.array_equal(t.closure_indices([y]), cyc)
-
     def test_canonical_key_is_the_least_conjugate(self, gl2_f3):
         t = gl2_f3
         for sub, _gens in t.subgroup_classes():
@@ -177,32 +180,86 @@ class TestSubgroupMachinery:
     def test_subgroup_classes_match_one_closure_per_candidate(self, p, base_order,
                                                               count):
         table = FiniteGroupTable.from_generators(ambient_generators(p, p), p)
+        classes = table.subgroup_classes()
         base_idx = None
         if base_order is not None:
+            # the classes containing an element of order base_order (prime)
             base_idx = [int(np.flatnonzero(table.orders() == base_order)[0])]
-        got = table.subgroup_classes(base_idx)
+            classes = [c for c in classes if len(c[0]) % base_order == 0]
         want = one_closure_per_candidate(table, base_idx)
-        assert len(got) == len(want) == count
-        for (idx, gens), (want_idx, want_gens) in zip(got, want):
-            assert idx.dtype == want_idx.dtype
-            assert np.array_equal(idx, want_idx)
-            assert gens == want_gens
+        got_keys = [table.canonical_subgroup_key(idx) for idx, _ in classes]
+        assert len(classes) == len(want) == count
+        assert set(got_keys) == {table.canonical_subgroup_key(idx) for idx, _ in want}
+        # orbit-minimal representatives, sorted by (order, key)
+        assert got_keys == [idx.tobytes() for idx, _ in classes]
+        assert got_keys == sorted(got_keys, key=lambda k: (len(k), k))
+        for idx, gens in classes:
+            assert idx.dtype == np.int32
+            packed = kernels.closure(table.elements[gens], p)
+            assert np.array_equal(np.searchsorted(table.elements, packed), idx)
 
-    def test_one_closure_per_double_coset_in_the_p5_falsifier(self, monkeypatch):
-        # one closure per candidate element made 11718 calls, one per double
-        # coset S x S made 1233; covering S y S for every generator y of <x>
-        # makes 726
-        calls = []
-        real = FiniteGroupTable.closure_indices
+    def test_the_walk_builds_no_closure_at_p5(self, monkeypatch):
+        # the cyclic-extension walk made 726 closures on GL_2(F_5); the
+        # normal-extension walk makes none: every closure is in the derived
+        # series (the seed SL_2(F_5)) or one per greedy generator
+        table = FiniteGroupTable.from_generators(ambient_generators(5, 5), 5)
+        calls = {"closure": 0, "key": 0, "extension": 0}
+        real_closure = FiniteGroupTable.closure_indices
+        real_key = FiniteGroupTable.canonical_subgroup_key
 
-        def spy(self, gen_idx, sub=None):
-            calls.append(len(gen_idx))
-            return real(self, gen_idx, sub)
+        def closure_spy(self, gen_idx, sub=None):
+            calls["closure"] += 1
+            return real_closure(self, gen_idx, sub)
 
-        monkeypatch.setattr(FiniteGroupTable, "closure_indices", spy)
-        rep = minimality.falsify_odd_prime(5)
-        assert rep.subgroup_classes == 48
-        assert len(calls) == 726
+        def key_spy(self, idx):
+            calls["key"] += 1
+            return real_key(self, idx)
+
+        def concatenate_spy(*args, **kwargs):  # once per extension
+            calls["extension"] += 1
+            return real_concatenate(*args, **kwargs)
+
+        real_concatenate = np.concatenate
+        monkeypatch.setattr(FiniteGroupTable, "closure_indices", closure_spy)
+        monkeypatch.setattr(FiniteGroupTable, "canonical_subgroup_key", key_spy)
+        series = table.derived_series()
+        in_series = calls["closure"]
+        monkeypatch.setattr(np, "concatenate", concatenate_spy)
+        classes = table.subgroup_classes()
+        monkeypatch.undo()
+        generators = sum(len(gens) for _, gens in classes)
+        assert [len(sub) for sub, _ in series] == [480, 120]
+        assert len(classes) == 48
+        assert calls["closure"] - 2 * in_series == generators == 101
+        assert in_series == 4
+        assert calls["key"] == 184  # the two seeds and each new set
+        # every element of an extension is covered, so no extension is
+        # built twice from the same S
+        assert calls["extension"] == 208
+
+    def test_derived_series(self, gl2_f3, gl2_z8_table):
+        gl2_f5 = FiniteGroupTable.from_generators(ambient_generators(5, 5), 5)
+        want_orders = {3: [48, 24, 8, 2, 1], 5: [480, 120], 8: [1536, 192, 32, 2, 1]}
+        for table in (gl2_f3, gl2_f5, gl2_z8_table):
+            series = table.derived_series()
+            assert [len(sub) for sub, _ in series] == want_orders[table.modulus]
+            for (sub, _), (der, gens) in zip(series, series[1:]):
+                assert np.array_equal(der, commutator_subgroup(table, sub))
+                assert np.array_equal(table.closure_indices(gens), der)
+            last = series[-1][0]  # 1, or perfect
+            assert len(commutator_subgroup(table, last)) in (1, len(last))
+        # SL_2(F_5) is the only perfect class of GL_2(F_5) besides 1
+        perfect = [len(idx) for idx, _ in gl2_f5.subgroup_classes()
+                   if len(commutator_subgroup(gl2_f5, idx)) == len(idx)]
+        assert perfect == [1, 120]
+
+    def test_refuses_a_table_whose_perfect_subgroups_are_not_known(self):
+        # SL_2(F_7), of order 336, is past the bound below which 1 and the
+        # last derived subgroup are the only perfect subgroups
+        table = FiniteGroupTable.from_generators(ambient_generators(7, 7), 7)
+        assert len(table.derived_series()[-1][0]) == 336
+        with pytest.raises(ValueError, match="order 336"):
+            table.subgroup_classes()
 
     def test_sylow_subgroup(self, gl2_f3):
         for q, size in ((2, 16), (3, 3), (5, 1)):
@@ -217,19 +274,18 @@ class TestSubgroupMachinery:
 
 
 class TestLatticeAtLevel8:
-    # lattice_digest of the classes, recorded when each extension was still
-    # a plain closure and one closure ran per double coset S x S
-    LATTICE_SHA256 = "88f7183dab1698c64a1fe4f040e244f6fb532228c93bd22f42b67b25b0762668"
-    ORDER3_SHA256 = "ae03bc7127d8d17bde290ebcb1b3ae1dd6098d42f084590072c700a940308a07"
+    # lattice_digest of the classes: orbit-minimal representatives sorted by
+    # (order, key), with greedy generator lists
+    LATTICE_SHA256 = "bb330350f315f151ff12f18043cb794eaad5a8dbe05e67d0b146264e7b7987c5"
+    ORDER3_SHA256 = "79a6af9baa9c5623ec318e00f7734701ab2d5d3af539643d6f9f089ffb759738"
 
     def test_lattice_is_pinned(self, gl2_z8_lattice):
         assert len(gl2_z8_lattice) == 2265
         assert all(idx.dtype == np.int32 for idx, _ in gl2_z8_lattice)
         assert lattice_digest(gl2_z8_lattice) == self.LATTICE_SHA256
 
-    def test_classes_over_an_order3_element_are_pinned(self, gl2_z8_table):
-        # the base of minimality.verify_non_two_group_witness
-        y0 = int(np.flatnonzero(gl2_z8_table.orders() == 3)[0])
-        classes = gl2_z8_table.subgroup_classes(base_idx=[y0])
+    def test_classes_over_an_order3_element_are_pinned(self, gl2_z8_lattice):
+        # the classes of minimality.verify_non_two_group_witness
+        classes = [c for c in gl2_z8_lattice if len(c[0]) % 3 == 0]
         assert len(classes) == 105
         assert lattice_digest(classes) == self.ORDER3_SHA256
