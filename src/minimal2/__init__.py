@@ -4,7 +4,6 @@ exact arithmetic for the associated elliptic-curve families."""
 
 from .ellcurve import (
     FamilySpec,
-    PrimeFieldElem,
     QuadFieldElem,
     WeierstrassCurve,
     family_identity_check,
@@ -49,7 +48,6 @@ __all__ = [
     "OpenSubgroup",
     "PrecisionError",
     "PrecisionMatrix",
-    "PrimeFieldElem",
     "QuadFieldElem",
     "Report",
     "RunConfig",

@@ -1,14 +1,13 @@
 """Exact arithmetic for curves of the shape y^2 = x^3 + A*x^2 + B*x.
 
-Twists, 2-isogenies, discriminants and j-invariants over the rationals,
-over quadratic fields Q(sqrt(d)), and over odd prime fields, plus two
-verification drivers: one for the parametrized curve families stored in
-``families.json`` and one for the quadratic-field family whose
-discriminant is a power of 2.
+Twists, 2-isogenies, discriminants and j-invariants over the rationals
+and over quadratic fields Q(sqrt(d)), plus two verification drivers: one
+for the parametrized curve families stored in ``families.json`` and one
+for the quadratic-field family whose discriminant is a power of 2.
 
 Everything here is exact: rationals are ``fractions.Fraction``, quadratic
-irrationalities carry their squarefree radicand, and prime-field elements
-reduce eagerly.  No floating point is used anywhere in this module.
+irrationalities carry their squarefree radicand, and residues mod a prime
+are plain ints.  No floating point is used anywhere in this module.
 
 The curve formulas (discriminant, c4, quadratic twist, 2-isogeny) are
 module-level functions of (A, B), written once for any ring.
@@ -33,7 +32,6 @@ __all__ = [
     "SingularCurveError",
     "FamilyIdentityError",
     "QuadFieldElem",
-    "PrimeFieldElem",
     "WeierstrassCurve",
     "FamilySpec",
     "quad_sqrt",
@@ -229,120 +227,7 @@ def quad_sqrt(r: Rational) -> "QuadFieldElem | Fraction":
     return QuadFieldElem(k, 0, Fraction(m, r.denominator))
 
 
-class PrimeFieldElem:
-    """An element of F_p for an odd prime p, stored reduced.
-
-    Field operations build their result with ``_elem``, through the slot
-    descriptors, so each op makes exactly one new element."""
-
-    __slots__ = ("p", "value")
-
-    def __init__(self, p: int, value: int) -> None:
-        p = int(p)
-        _set_p(self, p)
-        _set_value(self, int(value) % p)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PrimeFieldElem is immutable")
-
-    def _operand(self, other: object) -> "int | None":
-        """The value of a same-field element or of an int, else None."""
-        if type(other) is PrimeFieldElem or isinstance(other, PrimeFieldElem):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other.value
-        if isinstance(other, int):
-            return int(other)
-        return None
-
-    def __add__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _elem(self.p, self.value + o)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _elem(self.p, self.value - o)
-
-    def __rsub__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _elem(self.p, o - self.value)
-
-    def __mul__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        return _elem(self.p, self.value * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        p = self.p
-        if o % p == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return _elem(p, self.value * pow(o, -1, p))
-
-    def __rtruediv__(self, other: object) -> "PrimeFieldElem":
-        o = self._operand(other)
-        if o is None:
-            return NotImplemented
-        if self.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return _elem(self.p, o * pow(self.value, -1, self.p))
-
-    def __neg__(self) -> "PrimeFieldElem":
-        return _elem(self.p, -self.value)
-
-    def __pos__(self) -> "PrimeFieldElem":
-        return self
-
-    def __pow__(self, exponent: int) -> "PrimeFieldElem":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0 and self.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return _elem(self.p, pow(self.value, exponent, self.p))
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.p
-        if isinstance(other, PrimeFieldElem):
-            return self.p == other.p and self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"PrimeFieldElem({self.p}, {self.value})"
-
-
-# The slot descriptors set the fields directly, past the __setattr__ that
-# keeps the element immutable to everyone else.
-_set_p = PrimeFieldElem.p.__set__
-_set_value = PrimeFieldElem.value.__set__
-_new = object.__new__
-
-
-def _elem(p: int, value: int) -> PrimeFieldElem:
-    """The element value mod p of F_p, for ints p and value."""
-    e = _new(PrimeFieldElem)
-    _set_p(e, p)
-    _set_value(e, value % p)
-    return e
-
-
-FieldElem = Union[Fraction, int, QuadFieldElem, PrimeFieldElem]
+FieldElem = Union[Fraction, int, QuadFieldElem]
 
 
 def _discriminant(A, B):
@@ -541,11 +426,6 @@ class FamilySpec:
     @property
     def variables(self) -> tuple[str, ...]:
         return ("a", "b") if self.base == "conic" else ("t",)
-
-    def curve_at(self, point: dict) -> WeierstrassCurve:
-        """Specialize the formulas at a point of the base variety."""
-        names = {v: point[v] for v in self.variables}
-        return WeierstrassCurve(self._A(names), self._B(names))
 
 
 def _canonical_families_blob(families: dict) -> bytes:

@@ -139,11 +139,9 @@ def _mul_entries(x, y, m: int):
     )
 
 
-def mul_array_scalar(xs: np.ndarray, y: int, m: int, right: bool = True) -> np.ndarray:
-    """Elementwise xs @ y (right=True) or y @ xs (right=False), packed."""
-    if right:
-        return pack_array(*_mul_entries(unpack_array(xs), unpack(y), m))
-    return pack_array(*_mul_entries(unpack(y), unpack_array(xs), m))
+def mul_array_scalar(xs: np.ndarray, y: int, m: int) -> np.ndarray:
+    """Elementwise right products xs @ y, packed."""
+    return pack_array(*_mul_entries(unpack_array(xs), unpack(y), m))
 
 
 def mul_arrays(xs: np.ndarray, ys: np.ndarray, m: int) -> np.ndarray:

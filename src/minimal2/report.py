@@ -79,14 +79,6 @@ class RunConfig:
         if self.csv_path and self.command != "census":
             raise ValueError("CSV export is only defined for the census")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
     def to_json_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -99,11 +91,10 @@ class Report:
     config: dict
     results: dict
     passed: bool
-    schema_version: int = SCHEMA_VERSION
 
     def to_json_dict(self) -> dict:
         return {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "config": self.config,
             "results": self.results,

@@ -202,14 +202,9 @@ class OpenSubgroup:
 
     def __init__(self, prime: int, modulus: int, generators, _elements=None,
                  _parent: "OpenSubgroup | None" = None):
-        p, _ = _prime_power(modulus)
+        p = _packable_prime(modulus)
         if p != prime:
             raise ValueError(f"modulus {modulus} is not a power of {prime}")
-        if modulus > kernels.MAX_PACK_MODULUS:
-            # larger entries would overlap the packed 8-bit fields
-            raise ValueError(f"modulus {modulus} is above "
-                             f"{kernels.MAX_PACK_MODULUS}, the largest "
-                             "supported modulus")
         gens = []
         for g in generators:
             if isinstance(g, (int, np.integer)):
@@ -540,10 +535,20 @@ class OpenSubgroup:
                 f"{len(self.generators)} gens)")
 
 
+def _packable_prime(modulus: int) -> int:
+    """The prime p with modulus = p^k.  The bound is tested first, since
+    trial division of a huge modulus takes time in its square root."""
+    if modulus > kernels.MAX_PACK_MODULUS:
+        # larger entries would overlap the packed 8-bit fields
+        raise ValueError(f"modulus {modulus} is above "
+                         f"{kernels.MAX_PACK_MODULUS}, the largest "
+                         "supported modulus")
+    return _prime_power(modulus)[0]
+
+
 def closure(gens, modulus: int) -> OpenSubgroup:
     """Subgroup generated by gens at the given prime-power modulus."""
-    p, _ = _prime_power(modulus)
-    H = OpenSubgroup(p, modulus, gens)
+    H = OpenSubgroup(_packable_prime(modulus), modulus, gens)
     H.elements  # force now so budget errors surface eagerly
     return H
 

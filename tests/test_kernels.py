@@ -48,8 +48,8 @@ def inv_array(xs, m):
 def conj_array(xs, g, m):
     """g @ x @ g^-1 for every packed x, one generator at a time, unsorted:
     an oracle for kernels.conjugate_set."""
-    return kernels.mul_array_scalar(kernels.mul_array_scalar(xs, kernels.inv(g, m), m),
-                                    g, m, right=False)
+    x_gi = kernels.mul_array_scalar(xs, kernels.inv(g, m), m)
+    return kernels.mul_arrays(np.full_like(x_gi, g), x_gi, m)
 
 
 def tuple_order(x, m):
@@ -252,7 +252,7 @@ class TestBulkArithmeticMatchesScalar:
         ys = _unit_matrices(rng, m, 200)
         y = int(ys[0])
         right = kernels.mul_array_scalar(xs, y, m)
-        left = kernels.mul_array_scalar(xs, y, m, right=False)
+        left = kernels.mul_arrays(np.full_like(xs, y), xs, m)
         both = kernels.mul_arrays(xs, ys, m)
         square = kernels.square_array(xs, m)
         for i, x in enumerate(int(v) for v in xs):

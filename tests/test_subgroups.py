@@ -56,6 +56,21 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OpenSubgroup(3, 8, [])
 
+    def test_huge_modulus_is_refused_before_factoring(self, monkeypatch):
+        # factoring 2^61 - 1 by trial division would take minutes
+        real = subgroups._prime_power
+
+        def spy(m):
+            assert m <= kernels.MAX_PACK_MODULUS, f"factored {m}"
+            return real(m)
+
+        monkeypatch.setattr(subgroups, "_prime_power", spy)
+        huge = (1 << 61) - 1
+        with pytest.raises(ValueError, match=f"modulus {huge} is above 256"):
+            OpenSubgroup(2, huge, [])
+        with pytest.raises(ValueError, match=f"modulus {huge} is above 256"):
+            closure([SHEAR], huge)
+
     def test_rejects_singular_generator(self):
         with pytest.raises(ValueError):
             OpenSubgroup(2, 8, [(2, 0, 0, 1)])
