@@ -12,17 +12,26 @@ n-th term is 4^n Y^n / d_n, with d_n = (-1)^(n+1) n for the log and n! for
 the exp, so its valuation is at least 2n - v_2(d_n) (for the exp this is
 n + s_2(n), s_2 the binary digit sum, since v_2(n!) = n - s_2(n)).  Each
 series is summed up to the last n where that bound is within the window,
-so the truncation error stays above it.
+so the truncation error stays above it.  The sum is sum c_n Y^n with the
+cached scalars c_n = 2^(2n - v_2(d_n)) / d_n mod 2^(2P), and since
+Y^2 = tY - delta I (t the trace, delta the determinant, by Cayley-Hamilton)
+it collapses to alpha Y + beta I: two scalars mod 2^(2P), no matrix
+product.  That is the same ring arithmetic mod 2^(2P) as summing the terms
+one matrix power at a time, so every entry is the same.
 
 The determinant check at the bottom of the file is the exhaustive sweep
 over all 96^2 pairs of classes mod 4: for random lifts of each pair the
 4x4 matrix built from log(A^12), log(B^12) and their brackets must have
-determinant nonzero mod 2^50.
+determinant nonzero mod 2^50.  Its accepted lifts come back as numpy
+columns (``LieCheckRecords``): eight lift digits, d mod 2^50 and the retry
+count per class pair, about 0.2 MB for the whole sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 from math import factorial
@@ -111,12 +120,6 @@ class PrecisionMatrix:
             n >>= 1
         return acc
 
-    def shift_left(self, k: int) -> "PrecisionMatrix":
-        """Multiply by 2^k: every correct bit moves up, gaining k."""
-        return PrecisionMatrix(tuple(x << k for x in self.entries),
-                               min(self.effective_precision + k,
-                                   DEFAULT_PRECISION))
-
     def shift_right(self, k: int) -> "PrecisionMatrix":
         """Exact division by 2^k; requires divisible entries, costs k bits."""
         if any(x & ((1 << k) - 1) for x in self.entries):
@@ -125,14 +128,6 @@ class PrecisionMatrix:
             raise PrecisionError("shift below zero tracked bits")
         return PrecisionMatrix(tuple(x >> k for x in self.entries),
                                self.effective_precision - k)
-
-    def div_exact(self, n: int) -> "PrecisionMatrix":
-        """Exact 2-adic division: odd part by modular inverse, 2-part by shift."""
-        v = _v2(n)
-        inv = pow(n >> v, -1, _MASK + 1)
-        scaled = PrecisionMatrix(tuple(x * inv for x in self.entries),
-                                 self.effective_precision)
-        return scaled.shift_right(v) if v else scaled
 
     def congruent_to(self, other: "PrecisionMatrix", bits: int) -> bool:
         m = 1 << bits
@@ -160,24 +155,42 @@ _LOG_DENOMINATORS = _denominators(lambda n: n if n % 2 else -n)
 _EXP_DENOMINATORS = _denominators(factorial)
 
 
-def _series(X: PrecisionMatrix, start: PrecisionMatrix,
-            denominators: tuple[int, ...]) -> PrecisionMatrix:
-    """start + sum over n of X^n / d_n, for X = 4Y = 0 mod 4.
+def _coefficients(denominators: tuple[int, ...]) -> tuple[int, ...]:
+    """c_n = 2^(2n - v_2(d_n)) / d_n mod 2^(2P): the odd part of |d_n| is
+    inverted mod 2^(2P), so c_n Y^n is term n of the series, 4^n Y^n / d_n."""
+    out = []
+    for n, d in enumerate(denominators, start=1):
+        v = _v2(d)
+        c = pow(abs(d) >> v, -1, _MASK + 1) << (2 * n - v)
+        out.append((-c if d < 0 else c) & _MASK)
+    return tuple(out)
 
-    Term n is 4^n Y^n / d_n: Y^n is divided by the odd part of |d_n| and
-    then scaled once by 2^(2n - v_2(d_n)) > 0, so no step dips below the
-    guard bits.  Its tracked precision is e - 2 + 2n - v_2(d_n), e that of
-    X; the sum keeps the least of them through ``_join``.
+
+_LOG_COEFFICIENTS = _coefficients(_LOG_DENOMINATORS)
+_EXP_COEFFICIENTS = _coefficients(_EXP_DENOMINATORS)
+
+
+def _series(X: PrecisionMatrix, start: PrecisionMatrix,
+            coefficients: tuple[int, ...]) -> PrecisionMatrix:
+    """start + sum over n of c_n Y^n, for X = 4Y = 0 mod 4.
+
+    With Y^2 = tY - delta I, Horner's rule from the last coefficient keeps
+    the partial sum c_k Y + ... + c_N Y^(N-k+1) as pY + q, and one step
+    (pY + q + c) Y = (pt + q + c) Y - p delta I takes k down by one.  Term
+    n carries the tracked precision e - 2 + 2n - v_2(d_n), e that of X; the
+    least is e, at n = 1, whose bound 2 is the smallest of either series.
     """
     Y = X.shift_right(2)
-    acc = start
-    ypow = PrecisionMatrix.identity()
-    for n, d in enumerate(denominators, start=1):
-        ypow = ypow @ Y
-        v = _v2(d)
-        term = ypow.div_exact(abs(d) >> v).shift_left(2 * n - v)
-        acc = acc - term if d < 0 else acc + term
-    return acc
+    y0, y1, y2, y3 = Y.entries
+    t = (y0 + y3) & _MASK
+    delta = (y0 * y3 - y1 * y2) & _MASK
+    p = q = 0
+    for c in reversed(coefficients):
+        p, q = (p * t + q + c) & _MASK, -p * delta & _MASK
+    s0, s1, s2, s3 = start.entries
+    return PrecisionMatrix(
+        (s0 + p * y0 + q, s1 + p * y1, s2 + p * y2, s3 + p * y3 + q),
+        min(Y.effective_precision + 2, start.effective_precision))
 
 
 def mat_log(M: PrecisionMatrix) -> PrecisionMatrix:
@@ -187,7 +200,7 @@ def mat_log(M: PrecisionMatrix) -> PrecisionMatrix:
     X = M - PrecisionMatrix.identity()
     if not X.is_zero_mod(2):
         raise ValueError("mat_log needs M = I mod 4")
-    out = _series(X, PrecisionMatrix.zero(), _LOG_DENOMINATORS)
+    out = _series(X, PrecisionMatrix.zero(), _LOG_COEFFICIENTS)
     if not out.is_zero_mod(2):
         raise AssertionError("log landed outside 4 * gl_2(Z_2)")
     return out
@@ -197,7 +210,7 @@ def mat_exp(X: PrecisionMatrix) -> PrecisionMatrix:
     """exp of X = 0 mod 4: the series from I with d_n = n!."""
     if not X.is_zero_mod(2):
         raise ValueError("mat_exp needs X = 0 mod 4")
-    out = _series(X, PrecisionMatrix.identity(), _EXP_DENOMINATORS)
+    out = _series(X, PrecisionMatrix.identity(), _EXP_COEFFICIENTS)
     if not (out - PrecisionMatrix.identity()).is_zero_mod(2):
         raise AssertionError("exp landed outside I + 4 * gl_2(Z_2)")
     return out
@@ -272,6 +285,50 @@ def gl2_mod4_elements() -> list[tuple[int, int, int, int]]:
     return [kernels.unpack(int(x)) for x in elems]
 
 
+class LieCheckRecords(Sequence):
+    """The accepted lifts of one sweep, one row per class pair, as columns.
+
+    Row i is the pair (classes[i // k], classes[i % k]), k = len(classes);
+    ``digits`` holds its eight lift digits (A's, then B's), ``d_residues``
+    d mod 2^D_RESIDUE_BITS and ``retries`` the lifts refused before it.
+    Each dtype is the least that holds the column's largest value, and rows
+    are written from Python ints, so numpy refuses a value that does not fit
+    instead of wrapping it.  Indexing builds the row's ``LieCheckRecord``.
+    """
+
+    def __init__(self, classes, max_retries: int):
+        n = len(classes) ** 2
+        self.classes = tuple(classes)
+        self.digits = np.zeros((n, 8), dtype=np.uint8)
+        self.d_residues = np.zeros(
+            n, dtype=np.min_scalar_type((1 << D_RESIDUE_BITS) - 1))
+        self.retries = np.zeros(n, dtype=np.min_scalar_type(max_retries - 1))
+
+    def __len__(self) -> int:
+        return len(self.d_residues)
+
+    def __getitem__(self, i) -> LieCheckRecord:
+        n = len(self)
+        i = operator.index(i)
+        if not -n <= i < n:
+            raise IndexError(f"record {i} out of range for {n} class pairs")
+        i %= n
+        k = len(self.classes)
+        digits = tuple(self.digits[i].tolist())
+        d = int(self.d_residues[i])
+        return LieCheckRecord(i, self.classes[i // k], self.classes[i % k],
+                              digits[:4], digits[4:], d, _v2(d),
+                              int(self.retries[i]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LieCheckRecords):
+            return NotImplemented
+        return self.classes == other.classes and all(
+            np.array_equal(x, y) for x, y in
+            ((self.digits, other.digits), (self.d_residues, other.d_residues),
+             (self.retries, other.retries)))
+
+
 def _lift(bar: tuple[int, int, int, int], digits) -> PrecisionMatrix:
     entries = tuple(b + 4 * int(t) for b, t in zip(bar, digits))
     return PrecisionMatrix.from_entries(entries)
@@ -279,7 +336,7 @@ def _lift(bar: tuple[int, int, int, int], digits) -> PrecisionMatrix:
 
 def lie_check_all_classes(seed: int = 0, max_retries: int = 8,
                           progress: Optional[Callable[[str], None]] = None
-                          ) -> list[LieCheckRecord]:
+                          ) -> LieCheckRecords:
     """For all 96^2 class pairs mod 4, find lifts with d != 0 mod 2^50.
 
     Lift digits are drawn uniformly from {1, 2, 3} by a per-class generator
@@ -287,35 +344,27 @@ def lie_check_all_classes(seed: int = 0, max_retries: int = 8,
     independent.  A class exhausting max_retries aborts loudly: it would
     contradict the expectation that d vanishes only on a measure-zero set.
     """
+    if max_retries < 1:
+        raise ValueError("max_retries must be at least 1")
     classes = gl2_mod4_elements()
-    records = []
+    records = LieCheckRecords(classes, max_retries)
     for ci, (abar, bbar) in enumerate(product(classes, classes)):
         rng = np.random.default_rng((seed, ci))
-        rec = None
         for attempt in range(max_retries):
-            a_digits = tuple(int(v) for v in rng.integers(1, 4, size=4))
-            b_digits = tuple(int(v) for v in rng.integers(1, 4, size=4))
-            d = d_determinant(_lift(abar, a_digits), _lift(bbar, b_digits))
+            digits = rng.integers(1, 4, size=8).tolist()
+            d = d_determinant(_lift(abar, digits[:4]), _lift(bbar, digits[4:]))
             if d != 0:
-                rec = LieCheckRecord(
-                    class_index=ci,
-                    a_bar=abar,
-                    b_bar=bbar,
-                    a_digits=a_digits,
-                    b_digits=b_digits,
-                    d_residue=d,
-                    d_valuation=_v2(d),
-                    retries=attempt,
-                )
                 break
-        if rec is None:
+        else:
             raise AssertionError(
                 f"class pair {ci} = ({abar}, {bbar}) produced d = 0 mod "
                 f"2^{D_RESIDUE_BITS} for {max_retries} lifts; this would "
                 "contradict the determinant argument")
-        records.append(rec)
+        records.digits[ci] = digits
+        records.d_residues[ci] = d
+        records.retries[ci] = attempt
         if progress and (ci + 1) % 1000 == 0:
-            progress(f"lie check: {ci + 1}/{len(classes) ** 2} classes")
+            progress(f"lie check: {ci + 1}/{len(records)} classes")
     return records
 
 

@@ -1,20 +1,28 @@
 """2-adic matrix logarithm, exponential, and the determinant obstruction."""
 
+import copy
+import gc
 import hashlib
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from minimal2.lie2adic import (
+    _EXP_DENOMINATORS,
+    _LOG_DENOMINATORS,
     D_RESIDUE_BITS,
     DEFAULT_PRECISION,
+    LieCheckRecords,
     PrecisionError,
     PrecisionMatrix,
     d_determinant,
     gl2_mod4_elements,
     lie_bracket,
+    lie_check_all_classes,
     log_exp_round_trip,
     mat_exp,
     mat_log,
@@ -30,6 +38,39 @@ ROUND_TRIP_DIGEST = \
 
 def PM(a, b, c, d):
     return PrecisionMatrix.from_entries((a, b, c, d))
+
+
+def reference_series(X, start, denominators):
+    """The term-by-term sum that the Cayley-Hamilton ``_series`` replaced:
+    Y^n one matrix product at a time, times the inverse of the odd part of
+    |d_n| mod 2^(2P), then times 2^(2n - v_2(d_n)) with that many tracked
+    bits gained, each term's precision joined into the sum by min."""
+    mod = 1 << (2 * DEFAULT_PRECISION)
+    Y = X.shift_right(2)
+    acc = start
+    ypow = PrecisionMatrix.identity()
+    for n, d in enumerate(denominators, start=1):
+        ypow = ypow @ Y
+        v = (d & -d).bit_length() - 1
+        inv = pow(abs(d) >> v, -1, mod)
+        k = 2 * n - v
+        term = PrecisionMatrix(
+            tuple((x * inv) << k for x in ypow.entries),
+            min(ypow.effective_precision + k, DEFAULT_PRECISION))
+        acc = acc - term if d < 0 else acc + term
+    return acc
+
+
+def series_inputs(seed):
+    """Y = (M - I)/4 for the log and X/4 for the exp: zero, scalar,
+    nilpotent, trace zero, all entries equal (det 0), and random entries,
+    some of them up to 2^126, beyond the window."""
+    rng = random.Random(seed)
+    a, b, c = (rng.getrandbits(62) for _ in range(3))
+    return [(0, 0, 0, 0), (a, 0, 0, a), (0, b, 0, 0),
+            (a * b, b * b, -a * a, -a * b), (a, b, c, -a), (c, c, c, c),
+            (a, b, c, rng.getrandbits(62)),
+            tuple(rng.getrandbits(126) for _ in range(4))]
 
 
 class TestPrecisionMatrix:
@@ -151,6 +192,43 @@ class TestLogExp:
         assert digest == ROUND_TRIP_DIGEST
 
 
+class TestSeriesAgainstReference:
+    """Entries and certified bits of ``mat_log``/``mat_exp`` equal the
+    term-by-term series at every input precision from 2 to 64; the two
+    digests above pin only 64."""
+
+    @pytest.mark.parametrize("e", [2, 3, 10, 40, 63, 64])
+    def test_log_matches_reference(self, e):
+        for seed in range(4):
+            for y in series_inputs(seed):
+                M = PrecisionMatrix.from_entries(
+                    (1 + 4 * y[0], 4 * y[1], 4 * y[2], 1 + 4 * y[3]), e)
+                want = reference_series(M - PrecisionMatrix.identity(),
+                                        PrecisionMatrix.zero(),
+                                        _LOG_DENOMINATORS)
+                got = mat_log(M)
+                assert got.entries == want.entries, y
+                assert got.effective_precision == want.effective_precision == e
+
+    @pytest.mark.parametrize("e", [2, 3, 10, 40, 63, 64])
+    def test_exp_matches_reference(self, e):
+        for seed in range(4):
+            for y in series_inputs(seed):
+                X = PrecisionMatrix.from_entries(tuple(4 * v for v in y), e)
+                want = reference_series(X, PrecisionMatrix.identity(),
+                                        _EXP_DENOMINATORS)
+                got = mat_exp(X)
+                assert got.entries == want.entries, y
+                assert got.effective_precision == want.effective_precision == e
+
+    @pytest.mark.parametrize("e", [0, 1])
+    def test_fewer_than_two_bits_raise(self, e):
+        with pytest.raises(PrecisionError):
+            mat_log(PrecisionMatrix.from_entries((5, 4, 8, 1), e))
+        with pytest.raises(PrecisionError):
+            mat_exp(PrecisionMatrix.from_entries((4, 4, 8, 0), e))
+
+
 class TestBracketAndObstruction:
     def test_bracket_antisymmetry_and_self(self):
         X = PM(4, 8, 12, 16)
@@ -251,3 +329,75 @@ class TestClassSweep:
         assert len(r.a_digits) == 4 and len(r.b_digits) == 4
         assert r.d_valuation < D_RESIDUE_BITS
         assert (r.d_residue >> r.d_valuation) & 1 == 1
+
+
+class TestRecordColumns:
+    def test_length_and_indexing(self, lie_records):
+        classes = gl2_mod4_elements()
+        assert len(lie_records) == 9216
+        for i in (0, 1, 95, 96, 5000, 9215):
+            r = lie_records[i]
+            assert r.class_index == i
+            assert (r.a_bar, r.b_bar) == (classes[i // 96], classes[i % 96])
+            assert lie_records[i - 9216] == r
+        assert lie_records[-1].class_index == 9215
+        for i in (9216, -9217, 10 ** 6):
+            with pytest.raises(IndexError):
+                lie_records[i]
+
+    def test_iteration_matches_indexing(self, lie_records):
+        rows = list(lie_records)
+        assert len(rows) == 9216
+        assert all(rows[i] == lie_records[i] for i in range(0, 9216, 97))
+        assert rows[-1] == lie_records[-1]
+
+    def test_equality(self, lie_records):
+        other = copy.deepcopy(lie_records)
+        assert other == lie_records
+        other.d_residues[7] ^= 1 << 40
+        assert other != lie_records
+        assert lie_records != list(lie_records)
+
+    @pytest.mark.parametrize("max_retries", [1, 2, 256, 257, 1 << 16, 1 << 40,
+                                             1 << 70])
+    def test_columns_hold_their_largest_values(self, max_retries):
+        cols = LieCheckRecords(gl2_mod4_elements(), max_retries)
+        top = (1 << D_RESIDUE_BITS) - 1
+        cols.digits[-1] = [3] * 8
+        cols.d_residues[-1] = top
+        cols.retries[-1] = max_retries - 1
+        r = cols[-1]
+        assert r.a_digits == r.b_digits == (3, 3, 3, 3)
+        assert (r.d_residue, r.d_valuation) == (top, 0)
+        assert r.retries == max_retries - 1
+
+    def test_out_of_range_values_are_refused(self):
+        cols = LieCheckRecords(gl2_mod4_elements(), 256)
+        with pytest.raises(OverflowError):
+            cols.retries[0] = 256
+        with pytest.raises(OverflowError):
+            cols.digits[0] = [256] + [1] * 7
+        with pytest.raises(OverflowError):
+            cols.d_residues[0] = 1 << 64
+
+    def test_one_sweep_retains_little_memory(self):
+        # the list of 9216 dataclasses this replaced retained 3.4 MB; the
+        # columns are 9216 * (8 + 8 + 1) bytes
+        d_determinant(PM(5, 4, 0, 1), PM(5, 4, 4, 1))  # warm lazy imports
+        np.random.default_rng((0, 0)).integers(1, 4, size=8)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records = lie_check_all_classes(seed=0)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 9216
+        assert retained < 500_000
+
+    @pytest.mark.parametrize("max_retries", [0, -1])
+    def test_max_retries_below_one_is_refused(self, max_retries):
+        with pytest.raises(ValueError, match="max_retries"):
+            lie_check_all_classes(seed=0, max_retries=max_retries)

@@ -67,6 +67,10 @@ FAMILY_CHECK = {
         "b01d9d782c6c2451aefca17fb25eb1242137c1a7983f8974603cfc0b0ba95446",
 }
 
+# ``lie-check --seed 0``, the one report that serialises the 9216-pair sweep
+LIE_CHECK_0 = \
+    "48138b713217c517348dc879ba9811eacb29ebaaa93487bd1ddf073e693ab8f9"
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -106,3 +110,8 @@ def test_family_check_covers_the_family_table():
 def test_family_check_report_bytes(label):
     rep = report.run(RunConfig(command="family-check", label=label))
     assert sha256(rep.to_json()) == FAMILY_CHECK[label]
+
+
+def test_lie_check_report_bytes():
+    rep = report.run(RunConfig(command="lie-check", seed=0))
+    assert sha256(rep.to_json()) == LIE_CHECK_0
