@@ -8,105 +8,78 @@ Progress and timing go to stderr so that reports stay deterministic.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional, Sequence
 
 from .ellcurve import QUADFAMILY_N_MAX
-from .report import COMMANDS, Report, RunConfig, run
+from .report import Report, RunConfig, run
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each option's dest is the RunConfig field it fills.  An omitted
+    option is absent from the namespace, so RunConfig's default applies."""
     parser = argparse.ArgumentParser(
         prog="minimal2",
         description="Census and verification tools for minimal subgroups "
                     "of GL_2(Z_2) and the associated elliptic-curve families.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for all randomized checks (default 0)")
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress progress output on stderr")
+    def command(name: str, about: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=about,
+                              argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("census", help="enumerate minimal conjugacy classes")
-    p.add_argument("--level-bound", type=int, default=64)
-    p.add_argument("--index-bound", type=int, default=96)
-    p.add_argument("--genus", type=int, default=None,
+    p = command("census", "enumerate minimal conjugacy classes")
+    p.add_argument("--level-bound", type=int)
+    p.add_argument("--index-bound", type=int)
+    p.add_argument("--genus", dest="genus_filter", type=int, metavar="G",
                    help="keep only classes with this genus")
-    p.add_argument("--csv", metavar="PATH", default=None,
+    p.add_argument("--csv", dest="csv_path", metavar="PATH",
                    help="also write the census table as CSV")
-    common(p)
 
-    p = sub.add_parser("check", help="decide minimality of one group")
-    p.add_argument("--group", required=True, metavar="PATH",
-                   help="JSON file with prime, modulus, generators")
-    common(p)
+    for name, about in (("check", "decide minimality of one group"),
+                        ("genus", "genus data of one group's modular curve")):
+        p = command(name, about)
+        p.add_argument("--group", dest="group_path", required=True,
+                       metavar="PATH",
+                       help="JSON file with prime, modulus, generators")
 
-    p = sub.add_parser("genus", help="genus data of one group's modular curve")
-    p.add_argument("--group", required=True, metavar="PATH")
-    common(p)
+    p = command("lie-check", "determinant check over all class pairs mod 4")
+    p.add_argument("--max-retries", type=int)
 
-    p = sub.add_parser("lie-check",
-                       help="determinant check over all class pairs mod 4")
-    p.add_argument("--max-retries", type=int, default=8)
-    common(p)
+    p = command("falsify", "non-minimality witnesses at an odd prime")
+    p.add_argument("--prime", type=int)
 
-    p = sub.add_parser("falsify",
-                       help="non-minimality witnesses at an odd prime")
-    p.add_argument("--prime", type=int, default=3)
-    common(p)
-
-    p = sub.add_parser("quadfamily",
-                       help="discriminant/field/twist checks for the "
-                            "power-of-2-discriminant family")
-    p.add_argument("--n-max", type=int, default=20,
+    p = command("quadfamily", "discriminant/field/twist checks for the "
+                              "power-of-2-discriminant family")
+    p.add_argument("--n-max", type=int,
                    help=f"check n = 1..N_MAX, at most {QUADFAMILY_N_MAX} "
-                        f"(default 20)")
-    common(p)
+                        f"(default {RunConfig.n_max})")
 
-    p = sub.add_parser("family-check",
-                       help="twist/isogeny identities for the stored families")
-    p.add_argument("--label", default=None,
-                   help="check a single family (default: all)")
-    p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--primes", type=int, default=25)
-    common(p)
+    p = command("family-check",
+                "twist/isogeny identities for the stored families")
+    p.add_argument("--label", help="check a single family (default: all)")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--primes", type=int)
 
-    p = sub.add_parser("verify-all", help="run the complete claim battery")
-    p.add_argument("--profile", choices=("desk", "extended"), default="desk")
-    common(p)
+    p = command("verify-all", "run the complete claim battery")
+    p.add_argument("--profile", choices=("desk", "extended"))
 
+    for p in sub.choices.values():
+        p.add_argument("--out", dest="out_path", metavar="PATH",
+                       help="write the JSON report here")
+        p.add_argument("--seed", type=int,
+                       help=f"seed for all randomized checks "
+                            f"(default {RunConfig.seed})")
+        p.add_argument("--quiet", action="store_true", default=False,
+                       help="suppress progress output on stderr")
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    kwargs = {
-        "command": args.command,
-        "seed": args.seed,
-        "out_path": args.out,
-    }
-    if args.command == "census":
-        kwargs.update(level_bound=args.level_bound,
-                      index_bound=args.index_bound,
-                      genus_filter=args.genus,
-                      csv_path=args.csv)
-    elif args.command in ("check", "genus"):
-        kwargs.update(group_path=args.group)
-    elif args.command == "lie-check":
-        kwargs.update(max_retries=args.max_retries)
-    elif args.command == "falsify":
-        kwargs.update(prime=args.prime)
-    elif args.command == "quadfamily":
-        kwargs.update(n_max=args.n_max)
-    elif args.command == "family-check":
-        kwargs.update(label=args.label, trials=args.trials,
-                      primes=args.primes)
-    elif args.command == "verify-all":
-        kwargs.update(profile=args.profile)
-    return RunConfig(**kwargs)
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(**{k: v for k, v in vars(args).items() if k in fields})
 
 
 def _summarize(report: Report) -> list[str]:

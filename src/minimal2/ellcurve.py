@@ -28,6 +28,8 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Union
 
+from .modmat import _factorization
+
 __all__ = [
     "SingularCurveError",
     "FamilyIdentityError",
@@ -56,18 +58,10 @@ def _squarefree_split(n: int) -> tuple[int, int]:
     if n <= 0:
         raise ValueError("positive integer required")
     m, k = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            m *= d ** (e // 2)
-            if e % 2:
-                k *= d
-        d += 1 if d == 2 else 2
-    return m, k * n
+    for p, e in _factorization(n):
+        m *= p ** (e // 2)
+        k *= p ** (e % 2)
+    return m, k
 
 
 Rational = Union[int, Fraction]
@@ -449,14 +443,7 @@ def _odd_primes(count: int, start: int) -> list[int]:
     out: list[int] = []
     n = max(3, start) | 1
     while len(out) < count:
-        is_prime = n > 1
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                is_prime = False
-                break
-            d += 2
-        if is_prime:
+        if _factorization(n) == [(n, 1)]:
             out.append(n)
         n += 2
     return out

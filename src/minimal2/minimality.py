@@ -183,12 +183,11 @@ def _det_full_hyperplane_witness(HM: OpenSubgroup,
     return HM.hyperplane_subgroup(images.index(UNIT_RESIDUES_MOD_8) + 1)
 
 
-def _core_minimality(HM: OpenSubgroup, want_witness: bool):
+def _core_minimality(HM: OpenSubgroup):
     """(verdict, is_two_group, det_surjective, rank, witnesses) at HM's modulus."""
     det_full = HM.det_surjective_2adic()
     two_group = HM.is_two_group()
     rank: Optional[int] = None
-    witnesses: dict = {}
 
     if not det_full:
         verdict = False
@@ -199,15 +198,14 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
         }
     elif not two_group:
         verdict = False
-        if want_witness:
-            wit = _full_det_maximal_witness(HM)
-            witnesses = {
-                "kind": "maximal_subgroup_with_full_det",
-                "subgroup": wit.to_json_dict(),
-                "index_in_group": len(HM.elements) // len(wit.elements),
-                "det_image_mod8": sorted(kernels.det_image(wit.elements,
-                                                           wit.modulus, 8)),
-            }
+        wit = _full_det_maximal_witness(HM)
+        witnesses = {
+            "kind": "maximal_subgroup_with_full_det",
+            "subgroup": wit.to_json_dict(),
+            "index_in_group": len(HM.elements) // len(wit.elements),
+            "det_image_mod8": sorted(kernels.det_image(wit.elements,
+                                                       wit.modulus, 8)),
+        }
     else:
         fq = HM.frattini_quotient()
         rank = fq.rank
@@ -225,15 +223,14 @@ def _core_minimality(HM: OpenSubgroup, want_witness: bool):
             }
         else:
             verdict = False
-            if want_witness:
-                wit = _det_full_hyperplane_witness(HM, fq)
-                witnesses = {
-                    "kind": "maximal_subgroup_with_full_det",
-                    "subgroup": wit.to_json_dict(),
-                    "index_in_group": 2,
-                    "det_image_mod8": sorted(kernels.det_image(wit.elements,
-                                                               wit.modulus, 8)),
-                }
+            wit = _det_full_hyperplane_witness(HM, fq)
+            witnesses = {
+                "kind": "maximal_subgroup_with_full_det",
+                "subgroup": wit.to_json_dict(),
+                "index_in_group": 2,
+                "det_image_mod8": sorted(kernels.det_image(wit.elements,
+                                                           wit.modulus, 8)),
+            }
     return verdict, two_group, det_full, rank, witnesses
 
 
@@ -254,11 +251,11 @@ def is_minimal(H: OpenSubgroup) -> MinimalityReport:
                          f"{kernels.MAX_PACK_MODULUS // 2}, the largest level "
                          "that can be certified")
     HM = _model_at(H, cert)
-    verdict, two_group, det_full, rank, witnesses = _core_minimality(HM, True)
+    verdict, two_group, det_full, rank, witnesses = _core_minimality(HM)
 
     sanity = None
     if lvl <= 2:
-        v2, _, _, r2, _ = _core_minimality(_model_at(H, 2 * cert), False)
+        v2, _, _, r2, _ = _core_minimality(_model_at(H, 2 * cert))
         if v2 != verdict or r2 != rank:
             raise AssertionError("sanity recheck at doubled modulus disagrees")
         sanity = {"modulus": 2 * cert, "agrees": True}

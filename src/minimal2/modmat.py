@@ -1,7 +1,8 @@
-"""Prime-power moduli and the order of GL_2(Z/p^k).
+"""Integer factorisation, prime-power moduli and the order of GL_2(Z/p^k).
 
-Matrices themselves are packed integers, and every operation on them lives
-in kernels.
+``_factorization`` is the one trial-division loop of the package.
+Matrices themselves are packed integers, and every operation on them
+lives in kernels.
 """
 
 from __future__ import annotations
@@ -9,25 +10,32 @@ from __future__ import annotations
 from functools import lru_cache
 
 
+def _factorization(n: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of n >= 1, primes ascending, by trial
+    division over 2 and then the odd numbers."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def _prime_power(m: int) -> tuple[int, int]:
     """Return (p, k) with m = p^k, or raise ValueError."""
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    k = 0
-    mm = m
-    while mm % p == 0:
-        mm //= p
-        k += 1
-    if mm != 1:
+    factors = _factorization(m)
+    if len(factors) != 1:
         raise ValueError(f"modulus {m} is not a prime power")
-    return p, k
+    return factors[0]
 
 
 @lru_cache(maxsize=None)
@@ -41,14 +49,4 @@ def gl2_order(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+    return tuple(p for p, _ in _factorization(n))

@@ -14,8 +14,10 @@ in N_G(S) outside S with x^p in S for a prime p.  Since x normalises S and
 x^p lies in S, U = S u Sx u ... u Sx^(p-1) is a group in which S is normal
 of index p, built with p - 1 gathers and no closure.  Every y in U outside
 S gives the same U with the same p (y^q in S for a second prime q would
-put y in S), so all of U is marked covered.  A new set is kept when
-neither the set nor its conjugacy key has been seen.
+put y in S), so all of U is marked covered.  One set holds every member
+of every class orbit found so far: a U outside it starts a new class, and
+its orbit is walked once, added to the set, and its minimum kept as the
+class's key.
 
 Completeness.  A subgroup U that is not perfect has U' < U, so the abelian
 group U/U' has a subgroup of prime index, and U has a normal subgroup S of
@@ -178,8 +180,9 @@ class FiniteGroupTable:
             self._conj_perms = self.table[self.table[g], self.inverse[g][:, None]]
         return self._conj_perms
 
-    def canonical_subgroup_key(self, idx: np.ndarray) -> bytes:
-        """Minimal sorted index tuple over the full conjugation orbit.
+    def conjugation_orbit(self, idx: np.ndarray) -> set[bytes]:
+        """The sorted index tuples, as bytes, of every member of the
+        conjugation orbit of the subgroup idx.
 
         The orbit is walked one layer at a time, as in
         ``subgroups.OpenSubgroup._conjugation_orbit``: the members new in a
@@ -200,7 +203,11 @@ class FiniteGroupTable:
                     orbit.add(kb)
                     fresh.append(row)
             layer = np.array(fresh, dtype=np.int32).reshape(-1, s)
-        return min(orbit)
+        return orbit
+
+    def canonical_subgroup_key(self, idx: np.ndarray) -> bytes:
+        """Minimal sorted index tuple over the full conjugation orbit."""
+        return min(self.conjugation_orbit(idx))
 
     def subgroup_classes(self) -> list[tuple[np.ndarray, list[int]]]:
         """Conjugacy-class representatives of all subgroups, as (sorted
@@ -225,9 +232,12 @@ class FiniteGroupTable:
         walk = [(np.array([self.identity], dtype=np.int32), [])]
         if len(perfect) > 1:
             walk.append((perfect, perfect_gens))
-        seen_sets = {sub.tobytes() for sub, _ in walk}
-        keys = [self.canonical_subgroup_key(sub) for sub, _ in walk]
-        seen_keys = set(keys)
+        seen = set()  # every member of every class orbit found so far
+        keys = []
+        for sub, _ in walk:
+            orbit = self.conjugation_orbit(sub)
+            seen |= orbit
+            keys.append(min(orbit))
         for sub, gens in walk:  # grows while it is walked
             inside = np.zeros(self.n, dtype=bool)
             inside[sub] = True
@@ -244,15 +254,11 @@ class FiniteGroupTable:
                         y = int(t[y, x])
                     ext = np.sort(np.concatenate(cosets))
                     covered[ext] = True
-                    kb = ext.tobytes()
-                    if kb in seen_sets:
+                    if ext.tobytes() in seen:
                         continue
-                    seen_sets.add(kb)
-                    key = self.canonical_subgroup_key(ext)
-                    if key in seen_keys:
-                        continue
-                    seen_keys.add(key)
-                    keys.append(key)
+                    orbit = self.conjugation_orbit(ext)
+                    seen |= orbit
+                    keys.append(min(orbit))
                     walk.append((ext, gens + [x]))
         out = []
         for key in sorted(keys, key=lambda k: (len(k), k)):

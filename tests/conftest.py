@@ -60,7 +60,7 @@ def gl2_z8_table():
 
 @pytest.fixture(scope="session")
 def gl2_z8_lattice(gl2_z8_table):
-    """Every subgroup class of GL_2(Z/8): 2265 classes, about 1.5 s."""
+    """Every subgroup class of GL_2(Z/8): 2265 classes, about 1 s."""
     return gl2_z8_table.subgroup_classes()
 
 

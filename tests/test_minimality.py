@@ -465,7 +465,7 @@ def test_lattice_at_level_8_finds_the_census_classes(gl2_z8_table, gl2_z8_lattic
     class of the whole subgroup lattice of GL_2(Z/8), with no descent,
     digest or cut, accepts exactly the classes of census(8, 1 << 30).
     Classes are compared by the sha256 of the table's conjugacy key.
-    About 5 s: 1.5 s for the shared lattice, 3 s for is_minimal and the
+    About 4.5 s: 1 s for the shared lattice, 3 s for is_minimal and the
     census."""
     t = gl2_z8_table
 

@@ -1,5 +1,8 @@
 """2x2 matrix arithmetic mod p^k: the packed scalar kernels, the generator
-checks of OpenSubgroup, and the order of GL_2(Z/p^k)."""
+checks of OpenSubgroup, the order of GL_2(Z/p^k), and the one trial-division
+factoriser with the helpers read off it."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minimal2 import kernels
-from minimal2.modmat import gl2_order
+from minimal2.ellcurve import _odd_primes, _squarefree_split
+from minimal2.modmat import _factorization, _prime_factors, _prime_power, gl2_order
 from minimal2.subgroups import OpenSubgroup, ambient_generators
 
 I = kernels.IDENTITY
@@ -148,3 +152,117 @@ class TestReduceHomomorphism:
         x = int(g8[137])
         assert kernels.pack(*kernels.unpack(x)) == x
         assert OpenSubgroup(2, 8, [kernels.unpack(x)]).generators == (x,)
+
+
+# The four trial-division loops that the factoriser replaced, kept as
+# references for the helpers now read off it.
+
+def reference_prime_power(m):
+    if m < 2:
+        raise ValueError(f"modulus must be >= 2, got {m}")
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            break
+        p += 1
+    else:
+        p = m
+    k = 0
+    mm = m
+    while mm % p == 0:
+        mm //= p
+        k += 1
+    if mm != 1:
+        raise ValueError(f"modulus {m} is not a prime power")
+    return p, k
+
+
+def reference_prime_factors(n):
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def reference_squarefree_split(n):
+    if n <= 0:
+        raise ValueError("positive integer required")
+    m, k = 1, 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            m *= d ** (e // 2)
+            if e % 2:
+                k *= d
+        d += 1 if d == 2 else 2
+    return m, k * n
+
+
+def reference_odd_primes(count, start):
+    out = []
+    n = max(3, start) | 1
+    while len(out) < count:
+        is_prime = n > 1
+        d = 3
+        while d * d <= n:
+            if n % d == 0:
+                is_prime = False
+                break
+            d += 2
+        if is_prime:
+            out.append(n)
+        n += 2
+    return out
+
+
+FACTORED = list(range(1, 5001)) + [2 ** n + 1 for n in range(1, 31)]
+
+
+class TestFactorization:
+    def test_pairs_multiply_back_and_primes_ascend(self):
+        for n in FACTORED:
+            pairs = _factorization(n)
+            product = 1
+            for p, e in pairs:
+                assert e >= 1
+                assert p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+                product *= p ** e
+            assert product == n
+            primes = [p for p, _ in pairs]
+            assert primes == sorted(set(primes))
+
+    def test_helpers_match_the_loops_they_replaced(self):
+        for n in FACTORED:
+            assert _prime_factors(n) == reference_prime_factors(n)
+            assert _squarefree_split(n) == reference_squarefree_split(n)
+            if n >= 2:
+                try:
+                    want = reference_prime_power(n)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=str(exc)):
+                        _prime_power(n)
+                else:
+                    assert _prime_power(n) == want
+        for count, start in [(25, 401), (100, 0), (40, 2), (30, 9973), (5, 1 << 20)]:
+            assert _odd_primes(count, start) == reference_odd_primes(count, start)
+
+    def test_error_messages(self):
+        for m in (1, 0, -8):
+            with pytest.raises(ValueError, match=f"modulus must be >= 2, got {m}"):
+                _prime_power(m)
+        with pytest.raises(ValueError, match="modulus 12 is not a prime power"):
+            _prime_power(12)
+        for n in (0, -4):
+            with pytest.raises(ValueError, match="positive integer required"):
+                _squarefree_split(n)

@@ -1,5 +1,6 @@
 """Report documents and the command-line front end."""
 
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -171,6 +172,58 @@ class TestVerifyAllDriver:
         report._criterion_extended_census(cfg, None)
         assert calls == [(128, report.EXTENDED_INDEX_BOUND)]
         assert report.EXTENDED_INDEX_BOUND == 1 << 30
+
+
+# Each subcommand with every option set to a value other than RunConfig's
+# default, and the RunConfig those options must build.
+EVERY_OPTION = {
+    "census": (["--level-bound", "32", "--index-bound", "48", "--genus", "1",
+                "--csv", "t.csv"],
+               dict(level_bound=32, index_bound=48, genus_filter=1,
+                    csv_path="t.csv")),
+    "check": (["--group", "g.json"], dict(group_path="g.json")),
+    "genus": (["--group", "g.json"], dict(group_path="g.json")),
+    "lie-check": (["--max-retries", "3"], dict(max_retries=3)),
+    "falsify": (["--prime", "5"], dict(prime=5)),
+    "quadfamily": (["--n-max", "12"], dict(n_max=12)),
+    "family-check": (["--label", "16.48.0.25", "--trials", "4",
+                      "--primes", "3"],
+                     dict(label="16.48.0.25", trials=4, primes=3)),
+    "verify-all": (["--profile", "extended"], dict(profile="extended")),
+}
+
+
+def subcommand_parsers() -> dict:
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestParser:
+    def test_every_command_is_covered(self):
+        assert set(EVERY_OPTION) == set(subcommand_parsers()) == set(report.COMMANDS)
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_every_option_fills_its_field(self, command):
+        argv, fields = EVERY_OPTION[command]
+        fields = dict(fields, out_path="r.json", seed=7)
+        # every option of the subcommand is set, and each one is a field
+        dests = {a.dest for a in subcommand_parsers()[command]._actions}
+        assert dests - {"help", "quiet"} == set(fields)
+        default = RunConfig(command=command)
+        assert all(getattr(default, k) != v for k, v in fields.items())
+        args = cli.build_parser().parse_args(
+            [command, *argv, "--out", "r.json", "--seed", "7", "--quiet"])
+        assert cli._config_from_args(args) == RunConfig(command=command, **fields)
+
+    @pytest.mark.parametrize("command", sorted(EVERY_OPTION))
+    def test_omitted_options_take_the_config_defaults(self, command):
+        required = command in ("check", "genus")  # --group is required
+        argv, fields = EVERY_OPTION[command] if required else ([], {})
+        args = cli.build_parser().parse_args([command, *argv])
+        assert args.quiet is False
+        assert cli._config_from_args(args) == RunConfig(command=command, **fields)
 
 
 class TestCli:

@@ -203,17 +203,17 @@ class TestSubgroupMachinery:
         # normal-extension walk makes none: every closure is in the derived
         # series (the seed SL_2(F_5)) or one per greedy generator
         table = FiniteGroupTable.from_generators(ambient_generators(5, 5), 5)
-        calls = {"closure": 0, "key": 0, "extension": 0}
+        calls = {"closure": 0, "orbit": 0, "extension": 0}
         real_closure = FiniteGroupTable.closure_indices
-        real_key = FiniteGroupTable.canonical_subgroup_key
+        real_orbit = FiniteGroupTable.conjugation_orbit
 
         def closure_spy(self, gen_idx, sub=None):
             calls["closure"] += 1
             return real_closure(self, gen_idx, sub)
 
-        def key_spy(self, idx):
-            calls["key"] += 1
-            return real_key(self, idx)
+        def orbit_spy(self, idx):
+            calls["orbit"] += 1
+            return real_orbit(self, idx)
 
         def concatenate_spy(*args, **kwargs):  # once per extension
             calls["extension"] += 1
@@ -221,7 +221,7 @@ class TestSubgroupMachinery:
 
         real_concatenate = np.concatenate
         monkeypatch.setattr(FiniteGroupTable, "closure_indices", closure_spy)
-        monkeypatch.setattr(FiniteGroupTable, "canonical_subgroup_key", key_spy)
+        monkeypatch.setattr(FiniteGroupTable, "conjugation_orbit", orbit_spy)
         series = table.derived_series()
         in_series = calls["closure"]
         monkeypatch.setattr(np, "concatenate", concatenate_spy)
@@ -232,7 +232,7 @@ class TestSubgroupMachinery:
         assert len(classes) == 48
         assert calls["closure"] - 2 * in_series == generators == 101
         assert in_series == 4
-        assert calls["key"] == 184  # the two seeds and each new set
+        assert calls["orbit"] == len(classes)  # one orbit walk per class
         # every element of an extension is covered, so no extension is
         # built twice from the same S
         assert calls["extension"] == 208
