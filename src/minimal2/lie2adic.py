@@ -54,6 +54,13 @@ class PrecisionError(ArithmeticError):
     """Tracked precision fell below what the operation must guarantee."""
 
 
+class RetryBudgetExhausted(RuntimeError):
+    """Every lift a class pair was allowed gave d = 0 mod 2^D_RESIDUE_BITS.
+
+    The pair is left unproven, which contradicts nothing: the claim is that
+    some lift has d != 0, and a larger budget draws more lifts."""
+
+
 def _v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
@@ -341,8 +348,9 @@ def lie_check_all_classes(seed: int = 0, max_retries: int = 8,
 
     Lift digits are drawn uniformly from {1, 2, 3} by a per-class generator
     seeded with (seed, class index), so records are reproducible and order
-    independent.  A class exhausting max_retries aborts loudly: it would
-    contradict the expectation that d vanishes only on a measure-zero set.
+    independent.  A class pair whose max_retries lifts all give d = 0 mod
+    2^50 raises RetryBudgetExhausted: the sweep stops unproven, but a spent
+    budget contradicts nothing, so the message says to raise it.
     """
     if max_retries < 1:
         raise ValueError("max_retries must be at least 1")
@@ -356,10 +364,11 @@ def lie_check_all_classes(seed: int = 0, max_retries: int = 8,
             if d != 0:
                 break
         else:
-            raise AssertionError(
-                f"class pair {ci} = ({abar}, {bbar}) produced d = 0 mod "
-                f"2^{D_RESIDUE_BITS} for {max_retries} lifts; this would "
-                "contradict the determinant argument")
+            raise RetryBudgetExhausted(
+                f"class pair {ci} = ({abar}, {bbar}) gave d = 0 mod "
+                f"2^{D_RESIDUE_BITS} on all {max_retries} lifts: the retry "
+                "budget ran out before a lift with d != 0 was found; raise "
+                "--max-retries")
         records.digits[ci] = digits
         records.d_residues[ci] = d
         records.retries[ci] = attempt

@@ -351,12 +351,25 @@ def census(level_bound: int = 64, index_bound: int = 96,
     parent's certifying modulus reads its Phi off the parent's (see
     ``OpenSubgroup.frattini_subgroup``).
 
+    So does a child certified at twice its parent's modulus.  The parent
+    model HM is at its certifying modulus M, so Gamma(M) <= Phi(H) and
+    Phi(H) mod 2M is the full preimage of Phi(HM).  A child K contains
+    Phi(H); if its level is M, then Phi(H) mod 2M <= K mod 2M <= H mod 2M,
+    which is the premise of reading Phi(K) off H mod 2M.  So each expanded
+    parent with such children builds one model at 2M that holds only
+    Phi(H) mod 2M (``_lifted_phi_model``), and the lifted children link to
+    it: Phi(Phi(H)) mod 2M is laid out once per parent, not grown once per
+    child.  The model lives only as long as a child on the stack holds it.
+
     Each candidate child is reduced once: its level search starts at the
     parent's level and keeps the image mod the level, which both prunes by
     the level bound and gives the level model whose digest is tested
     against ``seen`` before the child is built.  The stack carries
-    (digest, level model, group); a child that became a duplicate while it
-    waited is skipped when popped.
+    (digest, level model, group, lifted parent model or None); a child
+    that became a duplicate while it waited is skipped when popped.
+    Dedup stores the digests of the conjugates inside the Sylow only (see
+    ``OpenSubgroup.conjugacy_digests``), which are all the conjugates a
+    later node can be.
     """
     check_census_bounds(level_bound, index_bound)
 
@@ -365,11 +378,11 @@ def census(level_bound: int = 64, index_bound: int = 96,
     nodes = 0
     syl = sylow_pro2_subgroup()
     root = _level_model(*_level_and_image(syl.elements, syl.modulus, 2))
-    stack = [(root.own_digest(), root, syl)]
+    stack = [(root.own_digest(), root, syl, None)]
 
     try:
         while stack:
-            digest, HL, H = stack.pop()
+            digest, HL, H, lifted_parent = stack.pop()
             if digest in seen:
                 continue
             seen.update(HL.conjugacy_digests())
@@ -380,6 +393,8 @@ def census(level_bound: int = 64, index_bound: int = 96,
 
             lvl, idx = HL.modulus, H.index_in_ambient()
             HM = _model_at(H, certifying_modulus(lvl))
+            if lifted_parent is not None:  # HM is a fresh lift of H
+                HM._parent = lifted_parent
             rank = (len(HM.elements) // len(HM.frattini_subgroup())).bit_length() - 1
             if rank < 2:
                 raise AssertionError("det-full 2-group with rank < 2")
@@ -390,6 +405,7 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 entries.append(_make_entry(HM, HL, idx, fq))
                 continue
             images = _hyperplane_det_images(fq, HM.modulus)
+            lifted = None  # _lifted_phi_model(HM), once a child needs it
             for mu in range(1, 1 << fq.rank):
                 if images[mu - 1] != UNIT_RESIDUES_MOD_8:
                     continue
@@ -403,10 +419,17 @@ def census(level_bound: int = 64, index_bound: int = 96,
                 if child_digest in seen:
                     continue
                 gens = schreier_generators(fq, fq.basis, mu)
-                child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems,
-                                     _parent=HM)
+                if CL.modulus < HM.modulus:  # certified at HM's modulus
+                    child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems,
+                                         _parent=HM)
+                    link = None
+                else:  # certified at twice HM's modulus, after a lift
+                    child = OpenSubgroup(2, HM.modulus, gens, _elements=child_elems)
+                    if lifted is None:
+                        lifted = _lifted_phi_model(HM)
+                    link = lifted
                 child._level = CL.modulus
-                stack.append((child_digest, CL, child))
+                stack.append((child_digest, CL, child, link))
     except kernels.BudgetExceeded as exc:
         if isinstance(exc, CensusBudgetError):
             raise
@@ -421,6 +444,16 @@ def census(level_bound: int = 64, index_bound: int = 96,
         entries = [e for e in entries if e.genus == genus_filter]
     entries.sort(key=lambda e: (e.level, e.index, e.canonical_key))
     return entries
+
+
+def _lifted_phi_model(HM: OpenSubgroup) -> OpenSubgroup:
+    """The open group of HM modeled at twice HM's modulus M, with Phi laid
+    out and the elements left unbuilt: HM is at its certifying modulus, so
+    Gamma(M) <= Phi(H) and Phi(H) mod 2M is the full preimage of Phi(HM)."""
+    m = HM.modulus
+    lifted = OpenSubgroup(2, m, HM.generators).lift(2 * m)
+    lifted._phi = kernels.lift_array(HM.frattini_subgroup(), m, 2 * m)
+    return lifted
 
 
 def _level_model(lvl: int, image: np.ndarray) -> OpenSubgroup:

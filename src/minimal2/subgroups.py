@@ -21,11 +21,12 @@ growth.  Its squares are squares of H, and the squares of Phi(H) are
 squares of K, so Phi(Phi(H)) <= Phi(K) <= Phi(H).  Hence Phi(K) is the
 preimage of the span of the images of the squares of K in the small
 elementary abelian group V = Phi(H)/Phi(Phi(H)).  A group built with a
-``_parent`` link (the census builds its hyperplane children so) keeps it
-until it knows its Phi; the parent lays out V once, when a child first
-asks, and the child masks Phi(H) by the F_2 span of its squares'
-coordinates.  ``hyperplane_subgroup`` returns unlinked groups, which grow
-their Phi from the squares.
+``_parent`` link (the census links its hyperplane children so, and its
+lifted children to a parent model that holds only Phi) keeps it until it
+knows its Phi; the parent lays out V once, when a child first asks, and
+the child masks Phi(H) by the F_2 span of its squares' coordinates.
+``hyperplane_subgroup`` returns unlinked groups, which grow their Phi from
+the squares.
 
 The quotient H/Phi(H) is then laid out coset by coset: the first element
 of H, in sorted packed order, outside the part labelled so far becomes the
@@ -45,6 +46,18 @@ coordinates in the low half) instead of binary-searching: the labelled
 part is one sorted key array that each layer joins by one sort, and the
 sweep sorts the keys of the edges x -> x g once per generator and compares
 them with the keys of the quotient.
+
+Conjugacy dedup walks only the conjugates that can occur.  Let S = {c = 0
+mod 2} be the pro-2 Sylow subgroup and Gamma(2) the kernel of reduction mod
+2; every census node lies in S.  If H <= S and H is not inside Gamma(2),
+then H mod 2 is the subgroup of GL_2(F_2) = S_3 generated by a
+transposition, which is its own normaliser.  So g H g^-1 <= S forces g in
+S: the conjugates of H inside S are exactly its S-conjugates, a third as
+many as its G-conjugates, and ``conjugacy_digests`` walks them with the
+generators of S (``sylow_conjugators``).  Gamma(2) is normal in G, so every
+conjugate of a group inside it lies in S; such groups, and groups not
+inside S, keep the walk by the ambient generators, as does
+``canonical_key``, the minimum over the whole G-orbit.
 """
 
 from __future__ import annotations
@@ -226,7 +239,8 @@ class OpenSubgroup:
         self._level: int | None = None
         self._fq: FrattiniQuotient | None = None
         self._fq_verified = False
-        self._orbit: frozenset[bytes] | None = None
+        # conjugation orbits, by conjugator list
+        self._orbits: dict[tuple[int, ...], frozenset[bytes]] = {}
         self._genus = None  # modcurve.GenusData, kept by modcurve.genus
 
     # -- element set ---------------------------------------------------------
@@ -454,40 +468,59 @@ class OpenSubgroup:
         return hashlib.sha256(prefix + kb).digest()
 
     def conjugacy_digests(self) -> set[bytes]:
-        """own_digest of every member of the conjugation orbit."""
-        prefix = f"{self.level()}|{self.index_in_ambient()}|".encode()
-        return {hashlib.sha256(prefix + kb).digest()
-                for kb in self._conjugation_orbit()}
+        """own_digest of every conjugate of the group that lies in the
+        Sylow S, and of the whole conjugation orbit when the group is not
+        inside S.
 
-    def _conjugation_orbit(self) -> frozenset[bytes]:
-        """Element bytes (big-endian uint32) of every member of the ambient
-        conjugation orbit, walked once per group and kept.
+        A group inside S and outside Gamma(2) is walked by the generators
+        of S only (``sylow_conjugators``), which reach exactly its
+        conjugates inside S (see the module docstring); any other group is
+        walked by the ambient generators.  Either way the set holds the
+        digest of every conjugate that a census node, which lies in S, can
+        be."""
+        prefix = f"{self.level()}|{self.index_in_ambient()}|".encode()
+        e = self.elements
+        inside_sylow = self.prime == 2 and not (e & np.uint32(1 << 16)).any()
+        if inside_sylow and (e & np.uint32(1 << 8)).any():
+            orbit = self._conjugation_orbit(sylow_conjugators(self.modulus))
+        else:
+            orbit = self._conjugation_orbit()
+        return {hashlib.sha256(prefix + kb).digest() for kb in orbit}
+
+    def _conjugation_orbit(self, conjugators: list[int] | None = None
+                           ) -> frozenset[bytes]:
+        """Element bytes (big-endian uint32) of every member of the orbit
+        under conjugation by the group the conjugators generate (default:
+        the ambient generators), walked once per group and conjugator list
+        and kept.
 
         The walk is breadth-first over whole layers: the members new in a
         layer are stacked into a (k, s) array, s = |H|, and
-        ``kernels.conjugate_set`` conjugates them by every ambient
-        generator at once.  One batch holds at most ngen * k * s conjugates,
-        ngen times the layer's elements, the same order as the frontier
-        product of ``kernels.closure``.  A call is cut to
-        max(_ORBIT_BATCH, s) conjugates, by taking fewer members and then
-        fewer generators.  Raises BudgetExceeded iff the orbit has more than
-        ORBIT_BUDGET members.
+        ``kernels.conjugate_set`` conjugates them by every conjugator at
+        once.  One batch holds at most ngen * k * s conjugates, ngen times
+        the layer's elements, the same order as the frontier product of
+        ``kernels.closure``.  A call is cut to max(_ORBIT_BATCH, s)
+        conjugates, by taking fewer members and then fewer conjugators.
+        Raises BudgetExceeded iff the orbit has more than ORBIT_BUDGET
+        members.
         """
-        if self._orbit is not None:
-            return self._orbit
         m = self.modulus
-        amb = ambient_generators(self.prime, m)
+        if conjugators is None:
+            conjugators = ambient_generators(self.prime, m)
+        key = tuple(conjugators)
+        if key in self._orbits:
+            return self._orbits[key]
         s = len(self.elements)
-        members = max(1, _ORBIT_BATCH // (len(amb) * s))  # per call
+        members = max(1, _ORBIT_BATCH // (len(key) * s))  # per call
         gens = max(1, _ORBIT_BATCH // s)  # per call
         layer = self.elements[None, :]
         orbit = {kernels.big_endian(self.elements).tobytes()}
         while len(layer):
             fresh = []
             for lo in range(0, len(layer), members):
-                for glo in range(0, len(amb), gens):
+                for glo in range(0, len(key), gens):
                     conj = kernels.conjugate_set(layer[lo:lo + members],
-                                                 amb[glo:glo + gens], m).reshape(-1, s)
+                                                 key[glo:glo + gens], m).reshape(-1, s)
                     big_endian = kernels.big_endian(conj)
                     for i in range(len(conj)):
                         kb = big_endian[i].tobytes()
@@ -498,8 +531,8 @@ class OpenSubgroup:
                             orbit.add(kb)
                             fresh.append(conj[i])
             layer = kernels.as_packed(fresh).reshape(-1, s)
-        self._orbit = frozenset(orbit)
-        return self._orbit
+        self._orbits[key] = frozenset(orbit)
+        return self._orbits[key]
 
     # -- serialization ------------------------------------------------------------------
 
@@ -563,6 +596,18 @@ def ambient_generators(prime: int, modulus: int) -> list[int]:
     gens = [kernels.pack(1, 1, 0, 1), kernels.pack(1, 0, 1, 1)]
     gens += [kernels.pack(u, 0, 0, 1) for u in units]
     return gens
+
+
+def sylow_conjugators(modulus: int) -> list[int]:
+    """Packed (1 1; 0 1), (1 0; 2 1), diag(3, 1) and diag(5, 1) mod a power
+    of 2, the identity dropped.  With -I, which acts trivially by
+    conjugation, they generate the pro-2 Sylow S = {c = 0 mod 2} mod the
+    modulus: the first two and -I generate Gamma_0(2) in SL_2(Z), which maps
+    onto the determinant-1 part of S, and the diagonals give every
+    determinant."""
+    gens = [kernels.pack(*(v % modulus for v in g))
+            for g in ((1, 1, 0, 1), (1, 0, 2, 1), (3, 0, 0, 1), (5, 0, 0, 1))]
+    return [g for g in gens if g != kernels.IDENTITY]
 
 
 def _is_primitive_root(g: int, modulus: int) -> bool:

@@ -323,6 +323,17 @@ class TestCli:
         assert cli.main(["quadfamily", "--n-max", "41", "--quiet"]) == 2
         assert capsys.readouterr().err == "error: n_max above 40 is out of scope\n"
 
+    def test_spent_retry_budget_is_not_a_contradiction(self, capsys):
+        # pair 5529 gives d = 0 mod 2^50 on its first three seed-0 lifts;
+        # the default eight find one with d != 0 (test_report_golden)
+        assert cli.main(["lie-check", "--max-retries", "3", "--seed", "0",
+                         "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: RetryBudgetExhausted: class pair 5529 = ((1, 1, 3, 2), "
+            "(1, 1, 3, 2)) gave d = 0 mod 2^50 on all 3 lifts: the retry "
+            "budget ran out before a lift with d != 0 was found; raise "
+            "--max-retries\n")
+
     def test_negative_seed_exits_2(self, capsys):
         assert cli.main(["lie-check", "--seed", "-1", "--quiet"]) == 2
         assert capsys.readouterr().err == "error: seed must be nonnegative\n"

@@ -462,9 +462,10 @@ class TestInheritedPhi:
         monkeypatch.setattr(OpenSubgroup, "frattini_subgroup", spy)
         monkeypatch.setattr(minimality, "is_minimal", recheck)
         assert len(census(16, 48)) == 12
-        # 310 popped nodes: the root and the 68 children lifted to a doubled
-        # certifying modulus grow Phi, the other 241 inherit it
-        assert (len(inherited), len(grown)) == (241, 69)
+        # 310 popped nodes: only the root grows Phi; the 241 children at
+        # their parent's certifying modulus and the 68 lifted to twice it
+        # inherit it
+        assert (len(inherited), len(grown)) == (309, 1)
         for K, phi in inherited:
             assert np.array_equal(phi, _grown_phi(K))
 
@@ -682,6 +683,22 @@ def _reference_orbit(H):
     return orbit
 
 
+def _in_sylow(kb):
+    """Whether the big-endian element bytes lie in S = {c = 0 mod 2}."""
+    return not (np.frombuffer(kb, dtype=">u4") & (1 << 16)).any()
+
+
+def _in_gamma2(elements):
+    """Whether every element of the pro-2 Sylow is I mod 2 (b even)."""
+    return not (elements & np.uint32(1 << 8)).any()
+
+
+def _digests(H, orbit):
+    """own_digest of every member of the orbit, given as element bytes."""
+    prefix = f"{H.level()}|{H.index_in_ambient()}|".encode()
+    return {hashlib.sha256(prefix + kb).digest() for kb in orbit}
+
+
 class TestConjugationOrbit:
     def test_matches_reference_walk_on_census_nodes(self, monkeypatch):
         # every kept node of census(16, 48), with the orbit its census walk
@@ -698,6 +715,71 @@ class TestConjugationOrbit:
         assert len(kept) == 310
         for HL in kept:
             assert HL._conjugation_orbit() == _reference_orbit(HL)
+
+    def test_census_nodes_get_the_digests_of_their_conjugates_in_the_sylow(
+            self, monkeypatch):
+        kept = []
+        digests = OpenSubgroup.conjugacy_digests
+
+        def record(self):
+            kept.append((self, digests(self)))
+            return kept[-1][1]
+
+        monkeypatch.setattr(OpenSubgroup, "conjugacy_digests", record)
+        census(16, 48)
+        assert len(kept) == 310
+        in_gamma2 = 0
+        for HL, got in kept:
+            assert _in_sylow(HL.elements.astype(">u4").tobytes())
+            orbit = _reference_orbit(HL)
+            want = _digests(HL, [kb for kb in orbit if _in_sylow(kb)])
+            assert got == want
+            if _in_gamma2(HL.elements):
+                # Gamma(2) is normal: the whole G-orbit lies in the Sylow
+                in_gamma2 += 1
+                assert got == _digests(HL, orbit)
+            else:
+                # a third of the G-orbit: the Sylow has index 3 and
+                # contains the normaliser
+                assert 3 * len(got) == len(orbit)
+        assert 0 < in_gamma2 < len(kept)
+
+    def test_a_group_outside_the_sylow_gets_its_whole_orbit(self):
+        H = closure([(0, 1, 1, 0)], 8)
+        orbit = _reference_orbit(H)
+        assert 0 < sum(map(_in_sylow, orbit)) < len(orbit)
+        assert H.conjugacy_digests() == _digests(H, orbit)
+
+    @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+    def test_sylow_conjugators_generate_the_sylow(self, m):
+        gens = subgroups.sylow_conjugators(m) + [kernels.neg(kernels.IDENTITY, m)]
+        S = kernels.closure(gens, m)
+        assert len(S) == gl2_order(m) // 3
+        assert _in_sylow(S.astype(">u4").tobytes())
+
+    def test_sylow_conjugators_generate_the_sylow_mod_128(self):
+        # A closure mod 128 holds 2^25 elements.  Instead: the conjugators
+        # mod 128 reduce to those mod 64, which with -I generate the Sylow
+        # there (above), and words in them give the generators I + 64 E_ij
+        # of the kernel of reduction mod 64, so with -I they generate
+        # 16 |GL_2(Z/64)| / 3 = |GL_2(Z/128)| / 3 elements mod 128.
+        m = 128
+        t, lower, d3, _ = subgroups.sylow_conjugators(m)
+
+        def power(x, n):
+            out = kernels.IDENTITY
+            for _ in range(n):
+                out = kernels.mul(out, x, m)
+            return out
+
+        t8, l4 = power(t, 8), power(lower, 4)
+        scalar = kernels.mul(kernels.mul(t8, l4, m),
+                             kernels.mul(kernels.inv(t8, m), kernels.inv(l4, m), m), m)
+        words = [power(d3, 16), power(t, 64), power(lower, 32),
+                 kernels.mul(power(d3, 16), scalar, m)]
+        assert [kernels.unpack(w) for w in words] == [
+            (65, 0, 0, 1), (1, 64, 0, 1), (1, 0, 64, 1), (1, 0, 0, 65)]
+        assert 16 * gl2_order(64) == gl2_order(m)
 
     def test_budget_boundary(self, monkeypatch):
         # a fresh group for each walk: the orbit is kept on the instance
